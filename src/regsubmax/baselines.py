@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import RegularizedInstance, Solution
+from .core import RegularizedInstance, Solution, greedy
 from .streaming import approx_factor, geometric_index_range
 
 BRUTE_FORCE_LIMIT = 20
@@ -24,24 +24,7 @@ def vanilla_greedy(instance: RegularizedInstance,
     minus a fixed cost), so stopping at the first non-positive round is
     exact.  Ties go to the smallest id.
     """
-    oracle, cost = instance.oracle, instance.cost
-    cands = sorted(range(oracle.n) if candidates is None else set(candidates))
-    S: list[int] = []
-    chosen: set[int] = set()
-    for _ in range(instance.k):
-        best_u = None
-        best_gain = 0.0
-        for u in cands:
-            if u in chosen:
-                continue
-            gain = oracle.marginal(u, S) - cost[u]
-            if gain > best_gain:
-                best_u, best_gain = u, gain
-        if best_u is None:
-            break
-        S.append(best_u)
-        chosen.add(best_u)
-    return S
+    return greedy(instance, [1.0] * instance.k, candidates, stop=True)
 
 
 def sieve_streaming(stream, instance: RegularizedInstance, eps: float,

@@ -10,8 +10,8 @@ only through oracle evaluations, which makes call counting meaningful.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,12 @@ class SubmodularOracle:
     available.  Oracles shipped in :mod:`regsubmax.objectives` are normalized
     so ``value(()) == 0`` and are monotone and submodular; neither property
     is checked per call (the test suite covers them).
+
+    Greedy algorithms grow one set and score many candidates against it, so
+    they go through a per-set state: ``st = empty()``, ``gains(st, cands)``
+    for the marginals of a whole candidate array, and ``add(st, u)``.  The
+    defaults keep ``S`` as a plain list and call ``marginal`` once per
+    candidate; an oracle with an incremental form overrides all three.
     """
 
     n: int = 0
@@ -36,6 +42,18 @@ class SubmodularOracle:
     def marginal(self, u: int, S: ElementSet) -> float:
         base = list(S)
         return self.value(base + [u]) - self.value(base)
+
+    def empty(self):
+        """State of the empty set, for ``gains`` and ``add``."""
+        return []
+
+    def gains(self, st, cands: np.ndarray) -> np.ndarray:
+        """Marginal of every element of ``cands`` against the state's set."""
+        return np.array([self.marginal(int(u), st) for u in cands], dtype=float)
+
+    def add(self, st, u: int) -> None:
+        """Grow the state's set by ``u`` in place."""
+        st.append(u)
 
 
 class CountingOracle(SubmodularOracle):
@@ -63,6 +81,18 @@ class CountingOracle(SubmodularOracle):
         with self._lock:
             self._marginal_calls += 1
         return self.inner.marginal(u, S)
+
+    def empty(self):
+        return self.inner.empty()
+
+    def gains(self, st, cands: np.ndarray) -> np.ndarray:
+        """Counts one marginal call per candidate scored."""
+        with self._lock:
+            self._marginal_calls += len(cands)
+        return self.inner.gains(st, cands)
+
+    def add(self, st, u: int) -> None:
+        self.inner.add(st, u)
 
     @property
     def value_calls(self) -> int:
@@ -132,6 +162,39 @@ class RegularizedInstance:
         """Fresh counting wrapper around the same data."""
         counter = CountingOracle(self.oracle)
         return RegularizedInstance(counter, self.cost, self.k), counter
+
+
+def greedy(instance: RegularizedInstance, weights: Sequence[float],
+           candidates: ElementSet | None = None,
+           stop: bool = False) -> list[int]:
+    """The greedy kernel behind plain and distorted greedy.
+
+    Iteration i scores every unchosen candidate u as ``weights[i] *
+    marginal(u, S) - cost(u)`` in one ``gains`` call and adds the best one
+    when its score is strictly positive; ties go to the smallest id.  A
+    round with nothing positive ends the run when ``stop`` is set (exact
+    when the weights never grow, since marginals only shrink) and is
+    skipped otherwise.
+    """
+    oracle = instance.oracle
+    cands = (np.arange(oracle.n) if candidates is None
+             else np.unique(np.fromiter(candidates, dtype=np.intp)))
+    costs = instance.cost.costs[cands]
+    st = oracle.empty()
+    S: list[int] = []
+    for w in weights:
+        if cands.size == 0:
+            break
+        scores = w * oracle.gains(st, cands) - costs
+        j = int(np.argmax(scores))
+        if scores[j] > 0.0:
+            u = int(cands[j])
+            oracle.add(st, u)
+            S.append(u)
+            cands, costs = np.delete(cands, j), np.delete(costs, j)
+        elif stop:
+            break
+    return S
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RegularizedInstance, Solution
+from .core import RegularizedInstance, Solution, greedy
 
 _M64 = (1 << 64) - 1
 
@@ -29,11 +29,14 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _round_key(seed: int, round_index: int) -> int:
+    x = _mix64((seed & _M64) + 0x9E3779B97F4A7C15)
+    return _mix64(x ^ ((round_index & _M64) + 0xD1B54A32D192ED03))
+
+
 def machine_of(seed: int, round_index: int, element: int, m: int) -> int:
     """Uniform machine id for one element, a pure function of its key."""
-    x = _mix64((seed & _M64) + 0x9E3779B97F4A7C15)
-    x = _mix64(x ^ ((round_index & _M64) + 0xD1B54A32D192ED03))
-    x = _mix64(x ^ ((element & _M64) + 0x8CB92BA72F3D8DD7))
+    x = _mix64(_round_key(seed, round_index) ^ ((element & _M64) + 0x8CB92BA72F3D8DD7))
     return x % m
 
 
@@ -46,14 +49,22 @@ class RoundAssignment:
 
     @classmethod
     def draw(cls, n: int, m: int, seed: int, round_index: int) -> "RoundAssignment":
+        """``machine_of`` for elements 0..n-1 at once, in wrapping uint64."""
         if m < 1:
             raise ValueError("machine count must be >= 1")
-        arr = np.fromiter((machine_of(seed, round_index, u, m) for u in range(n)),
-                          dtype=int, count=n)
-        return cls(round_index, arr)
+        x = np.arange(n, dtype=np.uint64)
+        x += np.uint64(0x8CB92BA72F3D8DD7)
+        x ^= np.uint64(_round_key(seed, round_index))
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        x %= np.uint64(m)
+        return cls(round_index, x.astype(np.min_scalar_type(m - 1)))
 
-    def shard(self, i: int) -> list[int]:
-        return [u for u in range(len(self.machines)) if self.machines[u] == i]
+    def shard(self, i: int) -> np.ndarray:
+        return np.flatnonzero(self.machines == i)
 
 
 @dataclass(frozen=True)
@@ -93,25 +104,10 @@ def distorted_greedy(instance: RegularizedInstance,
     positive; later iterations distort less, so a skipped iteration does not
     end the run.  Ties go to the smallest element id.
     """
-    oracle, cost, k = instance.oracle, instance.cost, instance.k
-    cands = sorted(range(oracle.n) if candidates is None else set(candidates))
-    S: list[int] = []
-    chosen: set[int] = set()
-    for i in range(k):
-        # 0.0 ** 0 == 1.0 keeps the k == 1 case exact.
-        weight = (1.0 - 1.0 / k) ** (k - i - 1)
-        best_u = None
-        best_score = 0.0
-        for u in cands:
-            if u in chosen:
-                continue
-            score = weight * oracle.marginal(u, S) - cost[u]
-            if score > best_score:
-                best_u, best_score = u, score
-        if best_u is not None:
-            S.append(best_u)
-            chosen.add(best_u)
-    return S
+    k = instance.k
+    # 0.0 ** 0 == 1.0 keeps the k == 1 case exact.
+    return greedy(instance, [(1.0 - 1.0 / k) ** (k - i - 1) for i in range(k)],
+                  candidates)
 
 
 def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
@@ -131,15 +127,14 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     last_round_first: tuple[int, ...] = ()
     for rd in range(1, rounds + 1):
         assignment = RoundAssignment.draw(n, config.m, config.seed, rd)
-        pooled = sorted({u for _, _, s in pool for u in s})
+        pooled = np.unique(np.fromiter((u for _, _, s in pool for u in s), dtype=np.intp))
         calls_before = getattr(instance.oracle, "calls", 0)
         round_sets: list[tuple[int, ...]] = []
         shard_sizes: list[int] = []
         for i in range(config.m):
             shard = assignment.shard(i)
             shard_sizes.append(len(shard))
-            cands = sorted(set(shard).union(pooled))
-            round_sets.append(tuple(distorted_greedy(instance, cands)))
+            round_sets.append(tuple(distorted_greedy(instance, np.union1d(shard, pooled))))
         if metrics is not None:
             metrics.append(RoundMetrics(rd, len(pool), len(pooled), shard_sizes,
                                         getattr(instance.oracle, "calls", 0) - calls_before))

@@ -8,9 +8,10 @@ the tests checks each one).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,32 +23,61 @@ class DegenerateMatrixError(ValueError):
     """A matrix that should be positive definite numerically is not."""
 
 
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]]."""
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return ptr, np.sort(src * n + dst) % n
+
+
+def _gather(ptr: np.ndarray, idx: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All CSR neighbours of ``rows``, concatenated, with each one's row position."""
+    lens = ptr[rows + 1] - ptr[rows]
+    pos = np.repeat(ptr[rows] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return np.repeat(np.arange(rows.size), lens), idx[pos]
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed graph on a dense ground set ``{0, .., n-1}``.
 
     ``out`` holds sorted out-neighbor tuples.  ``original_ids`` maps a dense
     id back to whatever label the source file used, so results can be
-    reported in the input's vocabulary.
+    reported in the input's vocabulary.  ``out_csr`` and ``in_csr`` are the
+    same edges as forward and reverse CSR arrays (see ``_csr``); they are
+    always derived from ``out`` and take no part in equality.
     """
 
     n: int
     out: tuple[tuple[int, ...], ...]
     original_ids: tuple[int, ...]
+    out_csr: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+    in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        src = np.repeat(np.arange(self.n), [len(s) for s in self.out])
+        dst = np.fromiter(itertools.chain.from_iterable(self.out), dtype=np.intp,
+                          count=src.size)
+        object.__setattr__(self, "out_csr", _csr(self.n, src, dst))
+        object.__setattr__(self, "in_csr", _csr(self.n, dst, src))
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
         """Build from (src, dst) pairs; dedupes, drops self-loops, compacts ids."""
-        clean = {(a, b) for a, b in edges if a != b}
-        nodes = sorted({a for a, _ in clean} | {b for _, b in clean})
-        dense = {orig: i for i, orig in enumerate(nodes)}
-        adj: list[set[int]] = [set() for _ in nodes]
-        for a, b in clean:
-            adj[dense[a]].add(dense[b])
+        flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+        if flat.size % 2:
+            raise ValueError("edges must be (src, dst) pairs")
+        a, b = flat[0::2], flat[1::2]
+        keep = a != b
+        nodes, dense = np.unique(np.concatenate([a[keep], b[keep]]), return_inverse=True)
+        n, m = nodes.size, int(keep.sum())
+        pairs = np.unique(dense[:m] * n + dense[m:])
+        ptr, heads = (x.tolist() for x in _csr(n, pairs // n, pairs % n))
         return cls(
-            n=len(nodes),
-            out=tuple(tuple(sorted(s)) for s in adj),
-            original_ids=tuple(nodes),
+            n=n,
+            out=tuple(tuple(heads[lo:hi]) for lo, hi in zip(ptr, ptr[1:])),
+            original_ids=tuple(nodes.tolist()),
         )
 
     @property
@@ -55,7 +85,7 @@ class DirectedGraph:
         return {orig: i for i, orig in enumerate(self.original_ids)}
 
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(s) for s in self.out], dtype=int)
+        return np.diff(self.out_csr[0])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.out[u]]
@@ -94,6 +124,11 @@ class VertexCoverOracle(SubmodularOracle):
         if np.any(self.weights < 0):
             raise ValueError("node weights must be non-negative")
         self._cover = tuple(frozenset((u,) + graph.out[u]) for u in range(graph.n))
+        ptr, heads = graph.out_csr
+        deg = np.diff(ptr)
+        tails = np.repeat(np.arange(graph.n), deg)
+        self._single = self.weights + np.bincount(tails, self.weights[heads], graph.n)
+        self._cover_size = (deg + 1).astype(np.int32)
 
     def value(self, S: ElementSet) -> float:
         members = list(S)
@@ -115,6 +150,28 @@ class VertexCoverOracle(SubmodularOracle):
         if not gained:
             return 0.0
         return float(self.weights[gained].sum())
+
+    def empty(self):
+        """(covered mask, gain of every node, uncovered count of its cover)."""
+        return np.zeros(self.n, dtype=bool), self._single.copy(), self._cover_size.copy()
+
+    def gains(self, st, cands: np.ndarray) -> np.ndarray:
+        return st[1][cands]
+
+    def add(self, st, u: int) -> None:
+        """Cover u and its out-neighbours.  Each newly covered node leaves
+        the gain of itself and of its in-neighbours; a node whose whole
+        cover is covered reads exactly 0, free of rounding."""
+        covered, gain, left = st
+        ptr, heads = self.graph.out_csr
+        new = np.append(heads[ptr[u]:ptr[u + 1]], u)
+        new = new[~covered[new]]
+        covered[new] = True
+        row, ins = _gather(*self.graph.in_csr, new)
+        hit = np.concatenate([new, ins])
+        np.subtract.at(gain, hit, self.weights[np.concatenate([new, new[row]])])
+        np.subtract.at(left, hit, 1)
+        gain[hit[left[hit] == 0]] = 0.0
 
 
 def similarity_from_features(X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
@@ -158,6 +215,13 @@ class FacilityLocationOracle(SubmodularOracle):
     def value(self, S: ElementSet) -> float:
         return facility_location_value(self.M, S)
 
+    def marginal(self, u: int, S: ElementSet) -> float:
+        cols = sorted(set(S))
+        if not cols:
+            return float(self.M[:, u].mean())
+        cur = self.M[:, cols].max(axis=1)
+        return float(np.maximum(self.M[:, u] - cur, 0.0).mean())
+
 
 def logdet_value(M: np.ndarray, alpha: float, S: ElementSet) -> float:
     """log det(I + alpha * M_S) via Cholesky on the principal submatrix."""
@@ -182,12 +246,48 @@ class LogDetOracle(SubmodularOracle):
             raise ValueError("kernel matrix must be square")
         if alpha <= 0:
             raise ValueError("alpha must be positive")
+        # The incremental state reads whole rows of M, the Cholesky of
+        # ``value`` one triangle; both agree only on a symmetric kernel.
+        # Checked in row blocks so no n x n temporary is made.
+        for lo in range(0, M.shape[0], 256):
+            if not np.allclose(M[lo:lo + 256], M[:, lo:lo + 256].T):
+                raise ValueError("kernel matrix must be symmetric")
         self.M = M
         self.alpha = float(alpha)
         self.n = M.shape[0]
 
     def value(self, S: ElementSet) -> float:
         return logdet_value(self.M, self.alpha, S)
+
+    def empty(self):
+        """(d2, rows, S): the Cholesky factor of A_S = I + alpha * M_S grown
+        one row at a time over all n columns (rows), and d2[u] the Schur
+        complement of u given S, so marginal(u, S) = log d2[u].  Members
+        hold d2 = 1, a zero gain."""
+        return 1.0 + self.alpha * np.diag(self.M), [], []
+
+    def gains(self, st, cands: np.ndarray) -> np.ndarray:
+        d2, _, S = st
+        d = d2[cands]
+        if np.any(d <= 0.0):
+            bad = int(np.asarray(cands)[np.argmin(d)])
+            raise DegenerateMatrixError(
+                f"I + alpha*M_S not positive definite for S={sorted(S + [bad])}")
+        return np.log(d)
+
+    def add(self, st, u: int) -> None:
+        d2, rows, S = st
+        if u in S:
+            return
+        e = self.alpha * self.M[u]
+        e[u] += 1.0
+        for r in rows:
+            e -= r[u] * r
+        e /= math.sqrt(d2[u])
+        d2 -= e * e
+        rows.append(e)
+        S.append(u)
+        d2[S] = 1.0
 
 
 def saturating_coverage_value(word_scores: dict[int, dict[int, float]],

@@ -160,6 +160,8 @@ class ThresholdBank:
     """
 
     def __init__(self, r: float, k: int, eps: float):
+        if r <= 0:
+            raise ValueError("trade-off r must be positive")
         if eps <= 0:
             raise ValueError("eps must be positive")
         if k < 1:

@@ -72,6 +72,16 @@ def test_machine_assignment_is_roughly_uniform():
         assert abs(counts[i] - expect) < 5 * sigma
 
 
+@pytest.mark.parametrize("seed,round_index,m", [
+    (0, 1, 1), (5, 1, 3), (9, 2, 8), (2**63 + 5, 7, 5), (2**64 - 1, 2**40, 1000),
+    (-3, 1, 2), (2**70 + 11, 3, 2**33 + 1)])
+def test_round_assignment_matches_scalar_machine_of(seed, round_index, m):
+    asg = rs.RoundAssignment.draw(n=300, m=m, seed=seed, round_index=round_index)
+    assert asg.machines.tolist() == [rs.machine_of(seed, round_index, u, m)
+                                     for u in range(300)]
+    assert asg.shard(1).tolist() == [u for u in range(300) if asg.machines[u] == 1]
+
+
 def test_round_assignment_partitions_ground_set():
     asg = rs.RoundAssignment.draw(n=50, m=3, seed=5, round_index=1)
     shards = [asg.shard(i) for i in range(3)]

@@ -256,3 +256,9 @@ def test_slc_mode_greedy_matches_brute_force(tmp_path):
     by_algo = {r.algorithm: r for r in rows}
     assert (by_algo["distorted-greedy"].f_value
             <= by_algo["brute-force"].f_value + 1e-9)
+
+
+def test_threshold_streaming_rejects_zero_r(digraph_file):
+    cfg = base_config(digraph_file, algos=("threshold-streaming",), r=0.0)
+    with pytest.raises(ValueError, match="trade-off r"):
+        run_experiment(cfg)

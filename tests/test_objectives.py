@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,46 @@ def test_vertex_cover_rejects_negative_weights(three_node_cover):
     graph, _, _ = three_node_cover
     with pytest.raises(ValueError):
         rs.VertexCoverOracle(graph, [-1.0, 1.0, 1.0])
+
+
+def reference_from_edges(edges):
+    """Set-and-dict construction that ``from_edges`` must reproduce."""
+    clean = {(a, b) for a, b in edges if a != b}
+    nodes = sorted({a for a, _ in clean} | {b for _, b in clean})
+    dense = {orig: i for i, orig in enumerate(nodes)}
+    adj = [set() for _ in nodes]
+    for a, b in clean:
+        adj[dense[a]].add(dense[b])
+    return len(nodes), tuple(tuple(sorted(s)) for s in adj), tuple(nodes)
+
+
+def test_from_edges_matches_reference_and_csr():
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        n = int(rng.integers(1, 40))
+        ids = rng.choice([-7, 0, 3, 10**12, 2**62] + list(range(100, 100 + n)), size=n)
+        m = int(rng.integers(0, 3 * n))
+        edges = [(int(ids[a]), int(ids[b])) for a, b in rng.integers(0, n, (m, 2))]
+        g = rs.DirectedGraph.from_edges(edges)
+        assert (g.n, g.out, g.original_ids) == reference_from_edges(edges)
+        assert all(type(u) is int for row in g.out for u in row)
+        # CSR arrays agree with out; the reverse index is its transpose;
+        # a graph built from out alone derives the same arrays.
+        ptr, idx = g.out_csr
+        assert [tuple(idx[ptr[u]:ptr[u + 1]]) for u in range(g.n)] == list(g.out)
+        rptr, ridx = g.in_csr
+        ins = [tuple(v for v in range(g.n) if u in g.out[v]) for u in range(g.n)]
+        assert [tuple(ridx[rptr[u]:rptr[u + 1]]) for u in range(g.n)] == ins
+        bare = rs.DirectedGraph(g.n, g.out, g.original_ids)
+        assert bare == g
+        for a, b in zip(bare.out_csr + bare.in_csr, g.out_csr + g.in_csr):
+            assert a.tolist() == b.tolist()
+        assert g.out_degrees().tolist() == [len(s) for s in g.out]
+    # A copy with other edges derives its own arrays, not the original's.
+    flipped = dataclasses.replace(g, out=tuple(tuple(v for v in range(g.n) if u in g.out[v])
+                                               for u in range(g.n)))
+    assert flipped.out_csr[1].tolist() == g.in_csr[1].tolist()
+    assert flipped.in_csr[1].tolist() == g.out_csr[1].tolist()
 
 
 def test_directed_graph_id_compaction():
@@ -181,6 +222,55 @@ def test_reservoir_facility_estimate():
     empty = rs.ReservoirEstimator(2, seed=0)
     with pytest.raises(ValueError):
         rs.reservoir_facility_estimate(empty, lambda i: M[i], [0])
+
+
+class ValueOnly(rs.SubmodularOracle):
+    """Forwards ``value`` alone, so every other method is the base fallback."""
+
+    def __init__(self, inner):
+        self.inner, self.n = inner, inner.n
+
+    def value(self, S):
+        return self.inner.value(S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("vertex-cover", "facility", "logdet", "coverage")),
+       st.booleans(), st.integers(0, 2**32 - 1), st.integers(2, 9),
+       st.lists(st.integers(0, 8), max_size=8))
+def test_set_state_gains_match_value_differences(kind, fallback, seed, n, adds):
+    oracle = make_instance(np.random.default_rng(seed), kind, n, 3).oracle
+    if fallback:
+        oracle = ValueOnly(oracle)
+    state, S = oracle.empty(), []
+    for u in (a % n for a in adds):
+        oracle.add(state, u)
+        if u not in S:
+            S.append(u)
+    cands = np.arange(n)
+    got = oracle.gains(state, cands)
+    assert got.shape == (n,)
+    base = oracle.value(S)
+    for u in range(n):
+        if u in S:
+            assert got[u] == 0.0
+        else:
+            direct = oracle.value(S + [u]) - base
+            assert abs(got[u] - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_logdet_rejects_asymmetric_kernel():
+    M = np.eye(300)
+    M[0, 299] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        rs.LogDetOracle(M)
+    rs.LogDetOracle(M + M.T)
+
+
+def test_logdet_gains_reject_degenerate_kernel():
+    oracle = rs.LogDetOracle(np.array([[-2.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(rs.DegenerateMatrixError):
+        oracle.gains(oracle.empty(), np.arange(2))
 
 
 @settings(max_examples=60, deadline=None)

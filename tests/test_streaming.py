@@ -141,6 +141,13 @@ def test_threshold_index_range_examples():
     assert list(rs.threshold_index_range(-3.0, 2, 1.0, 0.5)) == []
 
 
+def test_threshold_bank_rejects_non_positive_r():
+    # r = 0 would open an empty ladder window and return the empty set
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            rs.ThresholdBank(r, 3, 0.1)
+
+
 def test_bank_ignores_nonpositive_scores(three_node_cover):
     _, oracle, _ = three_node_cover
     heavy = rs.RegularizedInstance(oracle, rs.ModularCost(10.0 * np.ones(3)), 2)
