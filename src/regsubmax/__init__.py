@@ -20,15 +20,12 @@ from .distributed import (DistributedConfig, RoundAssignment, RoundMetrics,
                           distorted_greedy, machine_of, run_distributed)
 from .modefinding import (SlcInstance, SurrogateOracle, WeakSubmodularInstance,
                           check_gamma_weak, derived_cost, lambda_value,
-                          sample_slc_matrix, slc_log_density, surrogate_instance)
+                          sample_slc_matrix, surrogate_instance)
 from .objectives import (DegenerateMatrixError, DirectedGraph,
                          FacilityLocationOracle, LogDetOracle, ModularOracle,
                          ReservoirEstimator, SaturatingCoverageOracle,
-                         VertexCoverOracle, facility_location_value,
-                         logdet_value, reservoir_facility_estimate,
-                         reservoir_update, saturating_coverage_value,
-                         similarity_from_features, vertex_cover_cost,
-                         vertex_cover_value)
+                         VertexCoverOracle, reservoir_facility_estimate,
+                         similarity_from_features, vertex_cover_cost)
 from .streaming import (RatioGuess, ThresholdBank, ThresholdParams,
                         ThresholdState, approx_factor, beta_for_ratio,
                         cost_multiplier, distorted_streaming, r_for_beta,
@@ -46,14 +43,12 @@ __all__ = [
     "ThresholdState", "VertexCoverOracle", "WeakSubmodularInstance",
     "approx_factor", "best_solution", "beta_for_ratio", "brute_force_distorted",
     "brute_force_opt", "brute_force_tau", "check_gamma_weak", "cost_multiplier",
-    "derived_cost", "distorted_greedy", "distorted_streaming",
-    "facility_location_value", "lambda_value", "logdet_value", "machine_of",
-    "r_for_beta", "ratio_for_beta", "ratio_grid", "reservoir_facility_estimate",
-    "reservoir_update", "run_distributed", "sample_slc_matrix",
-    "saturating_coverage_value", "sieve_streaming", "similarity_from_features",
-    "slc_log_density", "surrogate_instance", "threshold_index_range",
-    "threshold_streaming", "vanilla_greedy", "vertex_cover_cost",
-    "vertex_cover_value",
+    "derived_cost", "distorted_greedy", "distorted_streaming", "lambda_value",
+    "machine_of", "r_for_beta", "ratio_for_beta", "ratio_grid",
+    "reservoir_facility_estimate", "run_distributed", "sample_slc_matrix",
+    "sieve_streaming", "similarity_from_features", "surrogate_instance",
+    "threshold_index_range", "threshold_streaming", "vanilla_greedy",
+    "vertex_cover_cost",
 ]
 
 __version__ = "0.1.0"

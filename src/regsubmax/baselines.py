@@ -6,12 +6,11 @@ everything else against; they are guarded to small ground sets on purpose.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import RegularizedInstance, Solution, greedy
-from .streaming import approx_factor, geometric_index_range
+from .streaming import ThresholdBank, approx_factor, geometric_index_range
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -27,6 +26,42 @@ def vanilla_greedy(instance: RegularizedInstance,
     return greedy(instance, [1.0] * instance.k, candidates, stop=True)
 
 
+@dataclass
+class SieveCopy:
+    """Sieve-Streaming's set for one guess v of the optimum; ``fval`` is f(S)."""
+
+    v: float
+    S: list[int] = field(default_factory=list)
+    fval: float = 0.0
+
+    def offer(self, u: int, instance: RegularizedInstance) -> None:
+        S, k = self.S, instance.k
+        if len(S) < k:
+            gain = instance.oracle.marginal(u, S) - instance.cost[u]
+            if gain >= (self.v / 2.0 - self.fval) / (k - len(S)):
+                S.append(u)
+                self.fval += gain
+
+
+class SieveLadder(ThresholdBank):
+    """The threshold ladder with Sieve-Streaming's window and copies.
+
+    The anchor m is the best singleton f-value (unit weight on g and on the
+    cost) and the guesses (1+eps)**i live in [m, 2*k*m].
+    """
+
+    def __init__(self, k: int, eps: float):
+        super().__init__(1.0, k, eps)
+        self._factor = 1.0
+
+    def window(self) -> range:
+        m = self.best_single
+        return geometric_index_range(m, 2.0 * self.k * m, 1.0 + self.eps)
+
+    def new_copy(self, i: int) -> SieveCopy:
+        return SieveCopy((1.0 + self.eps) ** i)
+
+
 def sieve_streaming(stream, instance: RegularizedInstance, eps: float,
                     provenance: str = "sieve") -> Solution:
     """Threshold streaming against geometric guesses of the optimal f-value.
@@ -36,72 +71,12 @@ def sieve_streaming(stream, instance: RegularizedInstance, eps: float,
     max singleton f-value m; only positive singletons open the window, since
     a non-positive optimum is dominated by the empty set anyway.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    oracle, cost, k = instance.oracle, instance.cost, instance.k
-    base = 1.0 + eps
-    best_single = -math.inf
-    sets: dict[int, list[int]] = {}
-    fval: dict[int, float] = {}
-    for u in stream:
-        fu = oracle.value((u,)) - cost[u]
-        if fu > best_single:
-            best_single = fu
-        if best_single > 0.0:
-            window = geometric_index_range(best_single, 2.0 * k * best_single, base)
-        else:
-            window = range(0)
-        for i in [i for i in sets if i not in window]:
-            del sets[i]
-            del fval[i]
-        for i in window:
-            if i not in sets:
-                sets[i] = []
-                fval[i] = 0.0
-        for i in sorted(sets):
-            S = sets[i]
-            if len(S) >= k:
-                continue
-            gain = oracle.marginal(u, S) - cost[u]
-            if gain >= (base ** i / 2.0 - fval[i]) / (k - len(S)):
-                S.append(u)
-                fval[i] += gain
-
-    best = Solution.evaluate(instance, (), f"{provenance}[empty]")
-    for i in sorted(sets):
-        sol = Solution.evaluate(instance, sets[i], f"{provenance}[i={i}]")
-        if sol.f_value > best.f_value:
-            best = sol
-    return best
+    return SieveLadder(instance.k, eps).run(stream, instance, provenance)
 
 
 def _feasible_subsets(n: int, k: int):
     for size in range(k + 1):
         yield from combinations(range(n), size)
-
-
-def brute_force_opt(instance: RegularizedInstance,
-                    k: int | None = None) -> tuple[tuple[int, ...], float]:
-    """Exact argmax of f over all subsets within the budget.
-
-    Exponential; refuses ground sets above BRUTE_FORCE_LIMIT.  Among ties it
-    returns the lexicographically smallest tuple (the empty set counts as
-    smallest), so the output is deterministic.
-    """
-    n = instance.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"ground set of size {n} exceeds brute-force limit "
-                         f"{BRUTE_FORCE_LIMIT}")
-    kk = instance.k if k is None else k
-    if kk < 0:
-        raise ValueError("budget must be >= 0")
-    best_set: tuple[int, ...] = ()
-    best_val = instance.f(())
-    for cand in _feasible_subsets(n, kk):
-        v = instance.f(cand)
-        if v > best_val or (v == best_val and cand < best_set):
-            best_set, best_val = cand, v
-    return best_set, best_val
 
 
 @dataclass(frozen=True)
@@ -119,7 +94,12 @@ class BenchmarkTarget:
 
 def brute_force_distorted(instance: RegularizedInstance,
                           target: BenchmarkTarget) -> tuple[tuple[int, ...], float]:
-    """Exact argmax of the weighted benchmark; same guard and tie rule as above."""
+    """Exact argmax of the weighted benchmark over all subsets within its budget.
+
+    Exponential; refuses ground sets above BRUTE_FORCE_LIMIT.  Among ties it
+    returns the lexicographically smallest tuple (the empty set counts as
+    smallest), so the output is deterministic.
+    """
     n = instance.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"ground set of size {n} exceeds brute-force limit "
@@ -131,6 +111,13 @@ def brute_force_distorted(instance: RegularizedInstance,
         if v > best_val or (v == best_val and cand < best_set):
             best_set, best_val = cand, v
     return best_set, best_val
+
+
+def brute_force_opt(instance: RegularizedInstance,
+                    k: int | None = None) -> tuple[tuple[int, ...], float]:
+    """Exact argmax of f = 1*g - 1*ell within budget k (default: the instance's)."""
+    return brute_force_distorted(
+        instance, BenchmarkTarget(1.0, 1.0, instance.k if k is None else k))
 
 
 def brute_force_tau(instance: RegularizedInstance, r: float, eps: float,

@@ -164,6 +164,16 @@ class RegularizedInstance:
         return RegularizedInstance(counter, self.cost, self.k), counter
 
 
+def check_id(u: int, n: int) -> None:
+    """ValueError unless ``u`` is an element of ``{0, .., n-1}``.
+
+    Numpy indexing would wrap a negative id onto a real element, so every
+    algorithm checks its input ids here, once, before using them.
+    """
+    if not 0 <= u < n:
+        raise ValueError(f"element id {u} outside ground set of size {n}")
+
+
 def greedy(instance: RegularizedInstance, weights: Sequence[float],
            candidates: ElementSet | None = None,
            stop: bool = False) -> list[int]:
@@ -179,6 +189,9 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
     oracle = instance.oracle
     cands = (np.arange(oracle.n) if candidates is None
              else np.unique(np.fromiter(candidates, dtype=np.intp)))
+    if cands.size:
+        check_id(cands[0], oracle.n)
+        check_id(cands[-1], oracle.n)
     costs = instance.cost.costs[cands]
     st = oracle.empty()
     S: list[int] = []
@@ -202,15 +215,13 @@ class Solution:
     """An algorithm output: the set plus its score breakdown.
 
     ``provenance`` records which algorithm (and which internal copy, for the
-    streaming variants) produced the set.  ``oracle_calls`` is filled from a
-    CountingOracle when one is in play, else 0.
+    streaming variants) produced the set.
     """
 
     elements: tuple[int, ...]
     f_value: float
     g_value: float
     ell_value: float
-    oracle_calls: int = 0
     provenance: str = ""
 
     @classmethod
@@ -219,8 +230,7 @@ class Solution:
         elems = tuple(elements)
         g = instance.oracle.value(elems)
         ell = instance.cost(elems)
-        calls = getattr(instance.oracle, "calls", 0)
-        return cls(elems, g - ell, g, ell, calls, provenance)
+        return cls(elems, g - ell, g, ell, provenance)
 
 
 def best_solution(candidates: Iterable[Solution]) -> Solution:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RegularizedInstance, Solution, greedy
+from .core import RegularizedInstance, Solution, best_solution, greedy
 
 _M64 = (1 << 64) - 1
 
@@ -145,11 +145,6 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
         else:
             last_round_first = round_sets[0]
 
-    best: Solution | None = None
-    candidates = pool + [(rounds, 1, last_round_first)]
-    for rd, i, s in candidates:
-        sol = Solution.evaluate(instance, s,
-                                f"distributed[round={rd},machine={i}]")
-        if best is None or sol.f_value > best.f_value:
-            best = sol
-    return best
+    return best_solution(
+        [Solution.evaluate(instance, s, f"distributed[round={rd},machine={i}]")
+         for rd, i, s in pool + [(rounds, 1, last_round_first)]])

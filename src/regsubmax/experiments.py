@@ -196,10 +196,8 @@ def _algo_sieve(instance, ctx):
 
 
 def _algo_threshold_streaming(instance, ctx):
-    bank = streaming.ThresholdBank(ctx.r, instance.k, ctx.eps)
-    for u in ctx.stream:
-        bank.step(u, instance)
-    return bank.finish(instance, f"threshold-streaming[r={ctx.r:.6g}]")
+    return streaming.ThresholdBank(ctx.r, instance.k, ctx.eps).run(
+        ctx.stream, instance, f"threshold-streaming[r={ctx.r:.6g}]")
 
 
 def _algo_distorted_streaming(instance, ctx):

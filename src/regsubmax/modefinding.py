@@ -192,10 +192,6 @@ class SlcInstance:
         return WeakSubmodularInstance(self.log_density, gamma, self.n)
 
 
-def slc_log_density(inst: SlcInstance, S: ElementSet) -> float:
-    return inst.log_density(S)
-
-
 def sample_slc_matrix(n: int, mu: float = 1.0, sigma: float = 1.0,
                       seed: int = 0) -> np.ndarray:
     """Random symmetric PSD kernel with log-normal spectrum.

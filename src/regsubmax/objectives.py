@@ -1,9 +1,9 @@
 """Concrete value oracles and cost constructions.
 
-Everything here is desk-scale: dense float64 matrices, Python sets for
-adjacency, no sparse formats.  All value oracles are normalized so that
-``value(()) == 0`` and all are monotone and submodular (the property suite in
-the tests checks each one).
+Everything here is desk-scale: dense float64 matrices, and graphs held both
+as sorted out-neighbour tuples and as forward and reverse CSR arrays.  All
+value oracles are normalized so that ``value(()) == 0`` and all are monotone
+and submodular (the property suite in the tests checks each one).
 """
 
 from __future__ import annotations
@@ -97,19 +97,6 @@ def vertex_cover_cost(out_degrees: Sequence[int], q: int) -> ModularCost:
     return ModularCost(1.0 + np.maximum(0.0, d - float(q)))
 
 
-def vertex_cover_value(graph: DirectedGraph, weights: Sequence[float],
-                       S: ElementSet) -> float:
-    """Total weight of S together with everything S points at."""
-    members = list(S)
-    if not members:
-        return 0.0
-    w = np.asarray(weights, dtype=float)
-    covered = set(members)
-    for u in members:
-        covered.update(graph.out[u])
-    return float(w[sorted(covered)].sum())
-
-
 class VertexCoverOracle(SubmodularOracle):
     """Weighted directed coverage: g(S) = weight of S plus its out-neighbors."""
 
@@ -196,14 +183,6 @@ def similarity_from_features(X: np.ndarray, metric: str = "euclidean") -> np.nda
     return M
 
 
-def facility_location_value(M: np.ndarray, S: ElementSet) -> float:
-    """Average over rows of the best similarity to a chosen column."""
-    cols = sorted(set(S))
-    if not cols:
-        return 0.0
-    return float(M[:, cols].max(axis=1).mean())
-
-
 class FacilityLocationOracle(SubmodularOracle):
     def __init__(self, M: np.ndarray):
         M = np.asarray(M, dtype=float)
@@ -213,7 +192,11 @@ class FacilityLocationOracle(SubmodularOracle):
         self.n = M.shape[0]
 
     def value(self, S: ElementSet) -> float:
-        return facility_location_value(self.M, S)
+        """Average over rows of the best similarity to a chosen column."""
+        cols = sorted(set(S))
+        if not cols:
+            return 0.0
+        return float(self.M[:, cols].max(axis=1).mean())
 
     def marginal(self, u: int, S: ElementSet) -> float:
         cols = sorted(set(S))
@@ -221,20 +204,6 @@ class FacilityLocationOracle(SubmodularOracle):
             return float(self.M[:, u].mean())
         cur = self.M[:, cols].max(axis=1)
         return float(np.maximum(self.M[:, u] - cur, 0.0).mean())
-
-
-def logdet_value(M: np.ndarray, alpha: float, S: ElementSet) -> float:
-    """log det(I + alpha * M_S) via Cholesky on the principal submatrix."""
-    idx = sorted(set(S))
-    if not idx:
-        return 0.0
-    A = np.eye(len(idx)) + alpha * M[np.ix_(idx, idx)]
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError(
-            f"I + alpha*M_S not positive definite for S={idx}") from exc
-    return float(2.0 * np.log(np.diag(L)).sum())
 
 
 class LogDetOracle(SubmodularOracle):
@@ -257,7 +226,17 @@ class LogDetOracle(SubmodularOracle):
         self.n = M.shape[0]
 
     def value(self, S: ElementSet) -> float:
-        return logdet_value(self.M, self.alpha, S)
+        """log det(I + alpha * M_S) via Cholesky on the principal submatrix."""
+        idx = sorted(set(S))
+        if not idx:
+            return 0.0
+        A = np.eye(len(idx)) + self.alpha * self.M[np.ix_(idx, idx)]
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateMatrixError(
+                f"I + alpha*M_S not positive definite for S={idx}") from exc
+        return float(2.0 * np.log(np.diag(L)).sum())
 
     def empty(self):
         """(d2, rows, S): the Cholesky factor of A_S = I + alpha * M_S grown
@@ -290,20 +269,6 @@ class LogDetOracle(SubmodularOracle):
         d2[S] = 1.0
 
 
-def saturating_coverage_value(word_scores: dict[int, dict[int, float]],
-                              S: ElementSet) -> float:
-    """Sum over words of sqrt(total score contributed by chosen elements)."""
-    members = set(S)
-    if not members:
-        return 0.0
-    total = 0.0
-    for scores in word_scores.values():
-        acc = sum(v for e, v in scores.items() if e in members)
-        if acc > 0.0:
-            total += math.sqrt(acc)
-    return total
-
-
 class SaturatingCoverageOracle(SubmodularOracle):
     """Concave-over-modular coverage built from (word, element, score) triples."""
 
@@ -319,11 +284,24 @@ class SaturatingCoverageOracle(SubmodularOracle):
         self.word_scores = table
 
     def value(self, S: ElementSet) -> float:
-        return saturating_coverage_value(self.word_scores, S)
+        """Sum over words of sqrt(total score contributed by chosen elements)."""
+        members = set(S)
+        if not members:
+            return 0.0
+        total = 0.0
+        for scores in self.word_scores.values():
+            acc = sum(v for e, v in scores.items() if e in members)
+            if acc > 0.0:
+                total += math.sqrt(acc)
+        return total
 
 
 class ModularOracle(SubmodularOracle):
-    """Modular g (degenerate submodular case); handy for benchmarks and tests."""
+    """Modular g (degenerate submodular case); handy for benchmarks and tests.
+
+    Like every oracle it reads ``S`` as a set: repeated ids count once, and
+    the marginal of a member is 0.
+    """
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=float)
@@ -333,13 +311,13 @@ class ModularOracle(SubmodularOracle):
         self.n = w.shape[0]
 
     def value(self, S: ElementSet) -> float:
-        idx = list(S)
+        idx = list(dict.fromkeys(S))
         if not idx:
             return 0.0
         return float(self.weights[idx].sum())
 
     def marginal(self, u: int, S: ElementSet) -> float:
-        return float(self.weights[u])
+        return 0.0 if u in set(S) else float(self.weights[u])
 
 
 @dataclass
@@ -370,10 +348,6 @@ class ReservoirEstimator:
             if j < self.capacity:
                 self.items[j] = item
         return self
-
-
-def reservoir_update(est: ReservoirEstimator, item: int) -> ReservoirEstimator:
-    return est.update(item)
 
 
 def reservoir_facility_estimate(est: ReservoirEstimator,

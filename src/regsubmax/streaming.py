@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .core import CountingOracle, RegularizedInstance, Solution
+from .core import (CountingOracle, RegularizedInstance, Solution, best_solution,
+                   check_id)
 
 _SNAP = 1e-9
 
@@ -116,9 +118,8 @@ class ThresholdState:
     def finish(self, instance: RegularizedInstance,
                provenance: str = "threshold") -> Solution:
         """Better of the collected set and the empty set."""
-        sol = Solution.evaluate(instance, self.S, provenance)
-        empty = Solution.evaluate(instance, (), provenance + "[empty]")
-        return sol if sol.f_value >= empty.f_value else empty
+        return best_solution([Solution.evaluate(instance, self.S, provenance),
+                              Solution.evaluate(instance, (), provenance + "[empty]")])
 
 
 def threshold_streaming(stream, instance: RegularizedInstance, r: float,
@@ -126,6 +127,7 @@ def threshold_streaming(stream, instance: RegularizedInstance, r: float,
     """Single pass with a known threshold tau at trade-off r."""
     state = ThresholdState(ThresholdParams(r, tau, instance.k))
     for u in stream:
+        check_id(u, instance.n)
         state.offer(u, instance)
     if provenance is None:
         provenance = f"threshold-streaming[r={r:.6g},tau={tau:.6g}]"
@@ -157,6 +159,11 @@ class ThresholdBank:
     like one created at stream start, because until then its threshold was
     too high to accept anything; that equivalence is what keeps the ladder
     small without changing any output.
+
+    This is the one lazy ladder of the package.  A variant overrides
+    ``window`` (the exponents worth keeping for the current anchor) and
+    ``new_copy`` (the run kept for exponent i); a copy needs only a list
+    ``S`` and ``offer(u, instance)``.  Sieve-Streaming is such a variant.
     """
 
     def __init__(self, r: float, k: int, eps: float):
@@ -171,7 +178,16 @@ class ThresholdBank:
         self.eps = eps
         self.best_single = -math.inf
         self.copies: dict[int, ThresholdState] = {}
+        # The anchor is the singleton score _factor * g({u}) - r * cost(u).
         self._factor = approx_factor(r)
+
+    def window(self) -> range:
+        """Exponents of the copies worth keeping for the current anchor."""
+        return threshold_index_range(self.best_single, self.k, self.r, self.eps)
+
+    def new_copy(self, i: int) -> ThresholdState:
+        """A fresh run for threshold (1+eps)**i."""
+        return ThresholdState(ThresholdParams(self.r, (1.0 + self.eps) ** i, self.k))
 
     def step(self, u: int, instance: RegularizedInstance,
              singleton_value: float | None = None) -> None:
@@ -183,31 +199,33 @@ class ThresholdBank:
         # until the first positive score makes that explicit.
         if score > 0.0 and score > self.best_single:
             self.best_single = score
-        window = threshold_index_range(self.best_single, self.k, self.r, self.eps)
+        window = self.window()
         for i in [i for i in self.copies if i not in window]:
             del self.copies[i]
-        base = 1.0 + self.eps
         for i in window:
             if i not in self.copies:
-                self.copies[i] = ThresholdState(ThresholdParams(self.r, base ** i, self.k))
+                self.copies[i] = self.new_copy(i)
         for i in sorted(self.copies):
             self.copies[i].offer(u, instance)
+
+    def run(self, stream, instance: RegularizedInstance, label: str) -> Solution:
+        """Step through the whole stream, then finish."""
+        for u in stream:
+            check_id(u, instance.n)
+            self.step(u, instance)
+        return self.finish(instance, label)
 
     def stored_elements(self) -> int:
         return sum(len(c.S) for c in self.copies.values())
 
-    def live_copies(self) -> int:
-        return sum(1 for c in self.copies.values() if c.live)
-
     def finish(self, instance: RegularizedInstance,
                label: str = "threshold-bank") -> Solution:
         """Best collected set across surviving copies, or the empty set."""
-        best = Solution.evaluate(instance, (), f"{label}[empty]")
-        for i in sorted(self.copies):
-            sol = Solution.evaluate(instance, self.copies[i].S, f"{label}[i={i}]")
-            if sol.f_value > best.f_value:
-                best = sol
-        return best
+        # A generator, so only the best Solution so far stays alive.
+        return best_solution(chain(
+            [Solution.evaluate(instance, (), f"{label}[empty]")],
+            (Solution.evaluate(instance, self.copies[i].S, f"{label}[i={i}]")
+             for i in sorted(self.copies))))
 
 
 def beta_for_ratio(ratio: float) -> float:
@@ -263,63 +281,39 @@ def ratio_grid(eps: float, delta: float) -> list[RatioGuess]:
 
 
 def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
-                        delta: float, taus: list[float] | None = None,
-                        diagnostics: dict | None = None) -> Solution:
+                        delta: float, diagnostics: dict | None = None) -> Solution:
     """One pass over the stream, best output across the ratio grid.
 
-    By default each grid entry runs a lazy ThresholdBank.  When ``taus`` is
-    given (one threshold per grid entry, e.g. from an offline computation)
-    each entry runs a single fixed-threshold copy instead.
+    Each grid entry runs a lazy ThresholdBank; all of them share one
+    singleton evaluation per element.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
     elements, peak copy counts, and per-element marginal-call counts (the
     latter only when the instance oracle is counting).
     """
     grid = ratio_grid(eps, delta)
-    if taus is not None and len(taus) != len(grid):
-        raise ValueError("need exactly one tau per grid entry")
     counting = instance.oracle if isinstance(instance.oracle, CountingOracle) else None
-
-    banks: list[ThresholdBank] | None = None
-    fixed: list[ThresholdState] | None = None
-    if taus is None:
-        banks = [ThresholdBank(g.r, instance.k, eps) for g in grid]
-    else:
-        fixed = [ThresholdState(ThresholdParams(g.r, t, instance.k))
-                 for g, t in zip(grid, taus)]
+    banks = [ThresholdBank(g.r, instance.k, eps) for g in grid]
 
     max_stored = 0
     max_copies = 0
     per_element_marginals: list[int] = []
     for u in stream:
+        check_id(u, instance.n)
         before = counting.marginal_calls if counting is not None else 0
-        if banks is not None:
-            singleton = instance.oracle.value((u,))
-            for bank in banks:
-                bank.step(u, instance, singleton)
-            if diagnostics is not None:
-                max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
-                max_copies = max(max_copies, sum(len(b.copies) for b in banks))
-        else:
-            for state in fixed:
-                state.offer(u, instance)
-            if diagnostics is not None:
-                max_stored = max(max_stored, sum(len(s.S) for s in fixed))
-                max_copies = max(max_copies, len(fixed))
-        if diagnostics is not None and counting is not None:
-            per_element_marginals.append(counting.marginal_calls - before)
+        singleton = instance.oracle.value((u,))
+        for bank in banks:
+            bank.step(u, instance, singleton)
+        if diagnostics is not None:
+            max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
+            max_copies = max(max_copies, sum(len(b.copies) for b in banks))
+            if counting is not None:
+                per_element_marginals.append(counting.marginal_calls - before)
 
-    best = Solution.evaluate(instance, (), "distorted-streaming[empty]")
-    if banks is not None:
-        for g, bank in zip(grid, banks):
-            sol = bank.finish(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
-            if sol.f_value > best.f_value:
-                best = sol
-    else:
-        for g, state in zip(grid, fixed):
-            sol = state.finish(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
-            if sol.f_value > best.f_value:
-                best = sol
+    best = best_solution(chain(
+        [Solution.evaluate(instance, (), "distorted-streaming[empty]")],
+        (bank.finish(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
+         for g, bank in zip(grid, banks))))
 
     if diagnostics is not None:
         diagnostics["grid"] = grid

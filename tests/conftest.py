@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
+from regsubmax.streaming import geometric_index_range
 
 KINDS = ("vertex-cover", "facility", "logdet", "coverage", "modular")
 
@@ -123,6 +124,45 @@ def eager_threshold_reference(stream, instance, r, eps) -> rs.Solution:
         if cand.f_value > sol.f_value:
             sol = cand
     return sol
+
+
+def sieve_reference(stream, instance, eps, provenance="sieve") -> rs.Solution:
+    """Sieve-Streaming as its own loop with per-guess dicts: the ladder's reference."""
+    oracle, cost, k = instance.oracle, instance.cost, instance.k
+    base = 1.0 + eps
+    best_single = -math.inf
+    sets: dict[int, list[int]] = {}
+    fval: dict[int, float] = {}
+    for u in stream:
+        fu = oracle.value((u,)) - cost[u]
+        if fu > best_single:
+            best_single = fu
+        if best_single > 0.0:
+            window = geometric_index_range(best_single, 2.0 * k * best_single, base)
+        else:
+            window = range(0)
+        for i in [i for i in sets if i not in window]:
+            del sets[i]
+            del fval[i]
+        for i in window:
+            if i not in sets:
+                sets[i] = []
+                fval[i] = 0.0
+        for i in sorted(sets):
+            S = sets[i]
+            if len(S) >= k:
+                continue
+            gain = oracle.marginal(u, S) - cost[u]
+            if gain >= (base ** i / 2.0 - fval[i]) / (k - len(S)):
+                S.append(u)
+                fval[i] += gain
+
+    best = rs.Solution.evaluate(instance, (), f"{provenance}[empty]")
+    for i in sorted(sets):
+        sol = rs.Solution.evaluate(instance, sets[i], f"{provenance}[i={i}]")
+        if sol.f_value > best.f_value:
+            best = sol
+    return best
 
 
 @pytest.fixture

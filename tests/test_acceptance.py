@@ -343,7 +343,7 @@ def test_criterion_12_reservoir_estimator_accuracy():
     for t in range(10):
         size = int(rng.integers(1, 9))
         S = sorted(int(x) for x in rng.choice(50, size=size, replace=False))
-        exact = ob.facility_location_value(M, S)
+        exact = ob.FacilityLocationOracle(M).value(S)
         means = []
         for seed in range(1000):
             est = ob.ReservoirEstimator(capacity=25, seed=seed)

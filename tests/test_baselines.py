@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from conftest import make_instance, KINDS
+from conftest import make_instance, sieve_reference, KINDS
 
 
 def test_vanilla_greedy_three_node(three_node_cover):
@@ -71,6 +71,35 @@ def test_sieve_streaming_half_opt_on_nonnegative_modular():
         stream = [int(x) for x in rng.permutation(n)]
         sol = rs.sieve_streaming(stream, inst, eps)
         assert sol.f_value >= (0.5 - eps) * opt - 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+def test_sieve_ladder_matches_reference_loop(eps):
+    rng = np.random.default_rng(int(eps * 10))
+    for t in range(30):
+        n = int(rng.integers(4, 20))
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(1, 6)))
+        for _ in range(2):
+            stream = [int(x) for x in rng.permutation(n)]
+            # Solution equality: same elements, f, g, ell and provenance
+            assert rs.sieve_streaming(stream, inst, eps) == sieve_reference(
+                stream, inst, eps)
+    # every singleton non-positive: the ladder never opens a window
+    inst = rs.RegularizedInstance(rs.ModularOracle([0.2, 0.1, 0.0]),
+                                  rs.ModularCost(np.array([1.0, 0.1, 0.0])), 2)
+    got = rs.sieve_streaming([2, 0, 1], inst, eps)
+    assert got == sieve_reference([2, 0, 1], inst, eps)
+    assert got.provenance == "sieve[empty]"
+
+
+def test_sieve_accepts_a_gain_equal_to_its_threshold():
+    # eps = 1 makes the guesses 1 and 2 exact: guess 2 admits element 0 at
+    # gain 1 = 2/2 and so is full when the better element 1 arrives
+    inst = rs.RegularizedInstance(rs.ModularOracle([1.0, 1.5]),
+                                  rs.ModularCost(np.zeros(2)), 1)
+    got = rs.sieve_streaming([0, 1], inst, 1.0)
+    assert got == sieve_reference([0, 1], inst, 1.0)
+    assert (got.elements, got.provenance) == ((0,), "sieve[i=1]")
 
 
 def test_brute_force_three_node(three_node_cover):

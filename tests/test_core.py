@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
+from conftest import make_instance
 
 
 def test_modular_cost_basics():
@@ -99,3 +100,25 @@ def test_solution_evaluate_and_best():
     assert rs.best_solution([a, c]).provenance == "a"
     with pytest.raises(ValueError):
         rs.best_solution([])
+
+
+ENTRY_POINTS = {
+    "greedy": ("logdet", lambda inst, ids: rs.vanilla_greedy(inst, candidates=ids)),
+    "distorted-greedy": ("facility",
+                         lambda inst, ids: rs.distorted_greedy(inst, candidates=ids)),
+    "sieve": ("vertex-cover", lambda inst, ids: rs.sieve_streaming(ids, inst, 0.1)),
+    "distorted-streaming": ("vertex-cover",
+                            lambda inst, ids: rs.distorted_streaming(ids, inst, 0.1, 0.2)),
+    "threshold-streaming": ("vertex-cover",
+                            lambda inst, ids: rs.threshold_streaming(ids, inst, 1.0, 0.01)),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ENTRY_POINTS))
+def test_entry_points_reject_ids_outside_ground_set(algo):
+    kind, run = ENTRY_POINTS[algo]
+    inst = make_instance(np.random.default_rng(3), kind, 8, 3)
+    run(inst, [0, 7])
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="outside ground set"):
+            run(inst, [0, bad])

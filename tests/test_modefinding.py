@@ -181,7 +181,6 @@ def test_slc_log_density_values():
     inst = rs.SlcInstance(np.array([[4.0]]), 1)
     assert inst.log_density(()) == 0.0
     assert inst.log_density((0,)) == pytest.approx(math.log(2.0))
-    assert rs.slc_log_density(inst, (0,)) == pytest.approx(math.log(2.0))
     # cap exceeded and singular minors both score -inf
     capped = rs.SlcInstance(np.eye(3), 2)
     assert capped.log_density((0, 1, 2)) == -math.inf

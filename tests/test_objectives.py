@@ -20,11 +20,11 @@ def test_vertex_cover_cost_examples():
 
 def test_vertex_cover_value_examples(three_node_cover):
     graph, oracle, _ = three_node_cover
-    w = np.ones(3)
-    assert rs.vertex_cover_value(graph, w, [0]) == 3.0
-    assert rs.vertex_cover_value(graph, w, [2]) == 1.0
-    assert rs.vertex_cover_value(graph, w, [0, 2]) == 3.0
-    assert rs.vertex_cover_value(graph, w, []) == 0.0
+    weighted = rs.VertexCoverOracle(graph, np.ones(3))
+    assert weighted.value([0]) == 3.0
+    assert weighted.value([2]) == 1.0
+    assert weighted.value([0, 2]) == 3.0
+    assert weighted.value([]) == 0.0
     assert oracle.value([0]) == 3.0
 
 
@@ -112,24 +112,24 @@ def test_similarity_entries_in_unit_interval():
 
 
 def test_facility_location_examples():
-    M = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert rs.facility_location_value(M, [0]) == pytest.approx(0.75)
-    assert rs.facility_location_value(M, [0, 1]) == pytest.approx(1.0)
-    assert rs.facility_location_value(M, []) == 0.0
+    oracle = rs.FacilityLocationOracle(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert oracle.value([0]) == pytest.approx(0.75)
+    assert oracle.value([0, 1]) == pytest.approx(1.0)
+    assert oracle.value([]) == 0.0
 
 
 def test_logdet_examples():
-    assert rs.logdet_value(np.array([[1.0]]), 1.0, [0]) == pytest.approx(
+    assert rs.LogDetOracle(np.array([[1.0]]), 1.0).value([0]) == pytest.approx(
         math.log(2.0), abs=1e-12)
-    assert rs.logdet_value(np.eye(2), 1.0, [0, 1]) == pytest.approx(
+    assert rs.LogDetOracle(np.eye(2), 1.0).value([0, 1]) == pytest.approx(
         2.0 * math.log(2.0), abs=1e-12)
-    assert rs.logdet_value(np.eye(2), 1.0, []) == 0.0
+    assert rs.LogDetOracle(np.eye(2), 1.0).value([]) == 0.0
 
 
 def test_logdet_degenerate_matrix():
     M = np.array([[-2.0]])  # I + M not positive definite
     with pytest.raises(rs.DegenerateMatrixError):
-        rs.logdet_value(M, 1.0, [0])
+        rs.LogDetOracle(M, 1.0).value([0])
     with pytest.raises(ValueError):
         rs.LogDetOracle(np.eye(2), alpha=0.0)
 
@@ -182,7 +182,7 @@ def test_reservoir_fill_phase_keeps_everything():
 def test_reservoir_capacity_zero_stays_empty():
     est = rs.ReservoirEstimator(0, seed=0)
     for i in range(10):
-        rs.reservoir_update(est, i)
+        est.update(i)
     assert est.items == []
     assert est.seen == 10
 
@@ -217,7 +217,7 @@ def test_reservoir_facility_estimate():
     est.update(1)
     # full reservoir reproduces the exact value
     assert rs.reservoir_facility_estimate(est, lambda i: M[i], [0]) == pytest.approx(
-        rs.facility_location_value(M, [0]))
+        rs.FacilityLocationOracle(M).value([0]))
     assert rs.reservoir_facility_estimate(est, lambda i: M[i], []) == 0.0
     empty = rs.ReservoirEstimator(2, seed=0)
     with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ class ValueOnly(rs.SubmodularOracle):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(("vertex-cover", "facility", "logdet", "coverage")),
+@given(st.sampled_from(("vertex-cover", "facility", "logdet", "coverage", "modular")),
        st.booleans(), st.integers(0, 2**32 - 1), st.integers(2, 9),
        st.lists(st.integers(0, 8), max_size=8))
 def test_set_state_gains_match_value_differences(kind, fallback, seed, n, adds):

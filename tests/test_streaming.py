@@ -281,17 +281,6 @@ def test_distorted_streaming_empty_stream():
     assert sol.f_value == 0.0
 
 
-def test_distorted_streaming_fixed_taus_mode(three_node_cover):
-    _, oracle, cost = three_node_cover
-    inst = rs.RegularizedInstance(oracle, cost, 2)
-    grid = rs.ratio_grid(0.25, 1.0)
-    sol = rs.distorted_streaming([0, 1, 2], inst, 0.25, 1.0, taus=[0.05])
-    assert sol.f_value >= 0.0
-    with pytest.raises(ValueError):
-        rs.distorted_streaming([0], inst, 0.25, 1.0, taus=[0.05, 0.1])
-    assert len(grid) == 1
-
-
 def test_distorted_streaming_single_pass_budget():
     rng = np.random.default_rng(7)
     inst = make_instance(rng, "modular", 60, 6)
