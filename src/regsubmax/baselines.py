@@ -34,13 +34,15 @@ class SieveCopy:
     S: list[int] = field(default_factory=list)
     fval: float = 0.0
 
-    def offer(self, u: int, instance: RegularizedInstance) -> None:
+    def offer(self, u: int, instance: RegularizedInstance) -> bool:
         S, k = self.S, instance.k
         if len(S) < k:
             gain = instance.oracle.marginal(u, S) - instance.cost[u]
             if gain >= (self.v / 2.0 - self.fval) / (k - len(S)):
                 S.append(u)
                 self.fval += gain
+                return True
+        return False
 
 
 class SieveLadder(ThresholdBank):

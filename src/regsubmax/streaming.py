@@ -10,8 +10,10 @@ On top of that, :func:`distorted_streaming` sweeps a small grid of target
 quality ratios, each mapping to a trade-off parameter ``r``, and keeps the
 best output across the grid.
 
-Everything here is single-pass over the element stream: per element, each
-live threshold copy spends at most one marginal evaluation.
+Everything here is single-pass over the element stream.  An element is
+offered only to the copies that still have room, and it costs one marginal
+evaluation per distinct set among them: copies holding equal sets, in one
+ladder or across the grid, share it (see :class:`ElementMemo`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import (CountingOracle, RegularizedInstance, Solution, best_solution,
-                   check_id)
+from .core import (CountingOracle, ElementSet, RegularizedInstance, Solution,
+                   SubmodularOracle, best_solution, check_id)
 
 _SNAP = 1e-9
 
@@ -151,6 +153,40 @@ def threshold_index_range(best_single: float, k: int, r: float,
     return geometric_index_range(best_single / k, hi, 1.0 + eps)
 
 
+class ElementMemo(SubmodularOracle):
+    """Oracle wrapper that computes one marginal per distinct set per element.
+
+    Ladder copies ask ``marginal(u, S)`` for the same element ``u`` and
+    often for equal sets ``S``.  The memo keys on ``tuple(S)`` and is
+    dropped the moment a call names another element, so it holds one
+    element's sets at most.  ``value`` passes straight through.
+    """
+
+    def __init__(self, inner: SubmodularOracle):
+        self.inner = inner
+        self.n = inner.n
+        self._u = None
+        self._memo: dict[tuple[int, ...], float] = {}
+
+    def value(self, S: ElementSet) -> float:
+        return self.inner.value(S)
+
+    def marginal(self, u: int, S: ElementSet) -> float:
+        if u != self._u:
+            self._u = u
+            self._memo = {}
+        key = tuple(S)
+        gain = self._memo.get(key)
+        if gain is None:
+            gain = self._memo[key] = self.inner.marginal(u, S)
+        return gain
+
+
+def _with_memo(instance: RegularizedInstance) -> RegularizedInstance:
+    """The same instance with its oracle behind an :class:`ElementMemo`."""
+    return RegularizedInstance(ElementMemo(instance.oracle), instance.cost, instance.k)
+
+
 class ThresholdBank:
     """Lazy ladder of threshold runs for one trade-off r.
 
@@ -160,10 +196,19 @@ class ThresholdBank:
     too high to accept anything; that equivalence is what keeps the ladder
     small without changing any output.
 
+    The window is a function of the anchor alone, so copies are retired and
+    created only when the anchor rises.  ``live`` holds the copies that
+    still have room, in ascending exponent order: an element is offered to
+    those alone, and a copy leaves ``live`` (but stays in ``copies``) the
+    moment it holds k elements.  ``run`` and :func:`distorted_streaming`
+    offer through an :class:`ElementMemo`, so copies holding equal sets
+    share one marginal evaluation per element.
+
     This is the one lazy ladder of the package.  A variant overrides
     ``window`` (the exponents worth keeping for the current anchor) and
     ``new_copy`` (the run kept for exponent i); a copy needs only a list
-    ``S`` and ``offer(u, instance)``.  Sieve-Streaming is such a variant.
+    ``S`` and ``offer(u, instance)``, which returns True when it took ``u``.
+    Sieve-Streaming is such a variant.
     """
 
     def __init__(self, r: float, k: int, eps: float):
@@ -178,6 +223,7 @@ class ThresholdBank:
         self.eps = eps
         self.best_single = -math.inf
         self.copies: dict[int, ThresholdState] = {}
+        self.live: list[ThresholdState] = []
         # The anchor is the singleton score _factor * g({u}) - r * cost(u).
         self._factor = approx_factor(r)
 
@@ -199,20 +245,22 @@ class ThresholdBank:
         # until the first positive score makes that explicit.
         if score > 0.0 and score > self.best_single:
             self.best_single = score
-        window = self.window()
-        for i in [i for i in self.copies if i not in window]:
-            del self.copies[i]
-        for i in window:
-            if i not in self.copies:
-                self.copies[i] = self.new_copy(i)
-        for i in sorted(self.copies):
-            self.copies[i].offer(u, instance)
+            self.copies = {i: self.copies[i] if i in self.copies else self.new_copy(i)
+                           for i in self.window()}
+            self.live = [c for c in self.copies.values() if len(c.S) < self.k]
+        filled = False
+        for c in self.live:
+            if c.offer(u, instance) and len(c.S) >= self.k:
+                filled = True
+        if filled:
+            self.live = [c for c in self.live if len(c.S) < self.k]
 
     def run(self, stream, instance: RegularizedInstance, label: str) -> Solution:
         """Step through the whole stream, then finish."""
+        shared = _with_memo(instance)
         for u in stream:
             check_id(u, instance.n)
-            self.step(u, instance)
+            self.step(u, shared)
         return self.finish(instance, label)
 
     def stored_elements(self) -> int:
@@ -220,12 +268,23 @@ class ThresholdBank:
 
     def finish(self, instance: RegularizedInstance,
                label: str = "threshold-bank") -> Solution:
-        """Best collected set across surviving copies, or the empty set."""
-        # A generator, so only the best Solution so far stays alive.
+        """Best collected set across surviving copies, or the empty set.
+
+        A copy holding the same set as the copy below it (the lowest one:
+        the empty set) has the same f and comes later, so under the
+        first-strict-max rule it cannot win and is not evaluated.
+        """
+        # Generators, so only the best Solution so far stays alive.
+        def distinct():
+            below = []
+            for i in sorted(self.copies):
+                S = self.copies[i].S
+                if S != below:
+                    yield Solution.evaluate(instance, S, f"{label}[i={i}]")
+                below = S
+
         return best_solution(chain(
-            [Solution.evaluate(instance, (), f"{label}[empty]")],
-            (Solution.evaluate(instance, self.copies[i].S, f"{label}[i={i}]")
-             for i in sorted(self.copies))))
+            [Solution.evaluate(instance, (), f"{label}[empty]")], distinct()))
 
 
 def beta_for_ratio(ratio: float) -> float:
@@ -285,7 +344,8 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
     """One pass over the stream, best output across the ratio grid.
 
     Each grid entry runs a lazy ThresholdBank; all of them share one
-    singleton evaluation per element.
+    singleton evaluation per element and one marginal evaluation per
+    distinct set.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
     elements, peak copy counts, and per-element marginal-call counts (the
@@ -294,6 +354,7 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
     grid = ratio_grid(eps, delta)
     counting = instance.oracle if isinstance(instance.oracle, CountingOracle) else None
     banks = [ThresholdBank(g.r, instance.k, eps) for g in grid]
+    shared = _with_memo(instance)
 
     max_stored = 0
     max_copies = 0
@@ -303,7 +364,7 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
         before = counting.marginal_calls if counting is not None else 0
         singleton = instance.oracle.value((u,))
         for bank in banks:
-            bank.step(u, instance, singleton)
+            bank.step(u, shared, singleton)
         if diagnostics is not None:
             max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
             max_copies = max(max_copies, sum(len(b.copies) for b in banks))

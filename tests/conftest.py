@@ -165,6 +165,47 @@ def sieve_reference(stream, instance, eps, provenance="sieve") -> rs.Solution:
     return best
 
 
+def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
+    """Distorted-Streaming as the ladder's original loop: the reference.
+
+    Every element recomputes each bank's window and is offered to every
+    copy, full ones included, each live copy spending its own marginal
+    call; finish evaluates every copy.
+    """
+    grid = rs.ratio_grid(eps, delta)
+    k = instance.k
+    factors = [rs.approx_factor(g.r) for g in grid]
+    best_single = [-math.inf] * len(grid)
+    banks: list[dict[int, rs.ThresholdState]] = [{} for _ in grid]
+    for u in stream:
+        singleton = instance.oracle.value((u,))
+        for j, (g, copies) in enumerate(zip(grid, banks)):
+            score = factors[j] * singleton - g.r * instance.cost[u]
+            if score > 0.0 and score > best_single[j]:
+                best_single[j] = score
+            window = rs.threshold_index_range(best_single[j], k, g.r, eps)
+            for i in [i for i in copies if i not in window]:
+                del copies[i]
+            for i in window:
+                if i not in copies:
+                    copies[i] = rs.ThresholdState(
+                        rs.ThresholdParams(g.r, (1.0 + eps) ** i, k))
+            for i in sorted(copies):
+                copies[i].offer(u, instance)
+
+    best = rs.Solution.evaluate(instance, (), "distorted-streaming[empty]")
+    for g, copies in zip(grid, banks):
+        label = f"distorted-streaming[ratio={g.ratio:.6g}]"
+        bank_best = rs.Solution.evaluate(instance, (), f"{label}[empty]")
+        for i in sorted(copies):
+            sol = rs.Solution.evaluate(instance, copies[i].S, f"{label}[i={i}]")
+            if sol.f_value > bank_best.f_value:
+                bank_best = sol
+        if bank_best.f_value > best.f_value:
+            best = bank_best
+    return best
+
+
 @pytest.fixture
 def three_node_cover():
     """Tiny digraph 1->2, 1->3, 2->3 with unit weights and unit costs."""

@@ -267,6 +267,19 @@ def test_logdet_rejects_asymmetric_kernel():
     rs.LogDetOracle(M + M.T)
 
 
+@pytest.mark.parametrize("make", [
+    lambda bad: rs.FacilityLocationOracle(np.array([[1.0, bad], [bad, 1.0]])),
+    lambda bad: rs.VertexCoverOracle(rs.DirectedGraph.from_edges([(0, 1)]), [1.0, bad]),
+    lambda bad: rs.LogDetOracle(np.array([[1.0, bad], [bad, 1.0]])),
+    lambda bad: rs.ModularOracle([1.0, bad]),
+], ids=["facility", "vertex-cover", "logdet", "modular"])
+def test_oracles_reject_non_finite_data(make):
+    make(0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+
 def test_logdet_gains_reject_degenerate_kernel():
     oracle = rs.LogDetOracle(np.array([[-2.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(rs.DegenerateMatrixError):

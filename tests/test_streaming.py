@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import regsubmax as rs
 from regsubmax.streaming import geometric_index_range
-from conftest import eager_threshold_reference, make_instance, KINDS
+from conftest import (eager_threshold_reference, ladder_reference, make_instance,
+                      KINDS)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -206,6 +207,82 @@ def test_lazy_bank_matches_eager_reference():
         lazy = bank.finish(inst)
         eager = eager_threshold_reference(stream, inst, r, eps)
         assert set(lazy.elements) == set(eager.elements)
+
+
+def test_bank_finish_keeps_lowest_exponent_among_equal_sets():
+    # copies 1 and 2 both hold the best set [0]; 2 is not even evaluated,
+    # and 1 wins as it did when every copy was evaluated
+    inst, counter = rs.RegularizedInstance(
+        rs.ModularOracle([3.0, 1.0]), rs.ModularCost(np.zeros(2)), 2).counted()
+    bank = rs.ThresholdBank(1.0, 2, 0.5)
+    for i, S in ((2, [0]), (-1, []), (1, [0]), (0, [1])):
+        bank.copies[i] = rs.ThresholdState(rs.ThresholdParams(1.0, 1.5 ** i, 2), S=S)
+    sol = bank.finish(inst)
+    assert (sol.elements, sol.provenance) == ((0,), "threshold-bank[i=1]")
+    # the empty set, [1] and [0]: copy -1 repeats the empty set, 2 repeats 1
+    assert counter.value_calls == 3
+
+
+@pytest.mark.parametrize("eps,delta", [(0.1, 0.2), (0.2, 0.5), (0.05, 1.0)])
+def test_distorted_streaming_matches_ladder_reference(eps, delta):
+    rng = np.random.default_rng(int(100 * eps + 10 * delta))
+    for t in range(30):
+        n = int(rng.integers(4, 20))
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(1, 6)))
+        counted, _ = inst.counted()
+        for _ in range(2):
+            stream = [int(x) for x in rng.permutation(n)]
+            want = ladder_reference(stream, inst, eps, delta)
+            # Solution equality: same elements, f, g, ell and provenance
+            assert rs.distorted_streaming(stream, inst, eps, delta) == want
+            assert rs.distorted_streaming(stream, counted, eps, delta) == want
+    # every singleton non-positive: no bank ever opens a window
+    inst = rs.RegularizedInstance(rs.ModularOracle([0.2, 0.1, 0.0]),
+                                  rs.ModularCost(np.array([1.0, 0.1, 0.0])), 2)
+    got = rs.distorted_streaming([2, 0, 1], inst, eps, delta)
+    assert got == ladder_reference([2, 0, 1], inst, eps, delta)
+    assert got.provenance == "distorted-streaming[empty]"
+
+
+def _offered_sets(bank, u):
+    """Sets the bank's copies held when ``u`` was offered, full ones excluded."""
+    held = (c.S[:-1] if c.S and c.S[-1] == u else c.S for c in bank.copies.values())
+    return {tuple(S) for S in held if len(S) < bank.k}
+
+
+def test_distorted_streaming_one_marginal_per_distinct_live_set():
+    rng = np.random.default_rng(41)
+    eps, delta = 0.1, 0.2
+    for t in range(10):
+        n = int(rng.integers(10, 30))
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(1, 5)))
+        stream = [int(x) for x in rng.permutation(n)]
+        counted, _ = inst.counted()
+        diag = {}
+        rs.distorted_streaming(stream, counted, eps, delta, diagnostics=diag)
+        banks = [rs.ThresholdBank(g.r, inst.k, eps) for g in rs.ratio_grid(eps, delta)]
+        for u, calls in zip(stream, diag["per_element_marginals"]):
+            for bank in banks:
+                bank.step(u, inst)
+            assert calls <= len(set().union(*(_offered_sets(b, u) for b in banks)))
+
+
+def test_distorted_streaming_spends_nothing_once_every_copy_is_full():
+    # element 0 has the best singleton score in every bank and a surplus at
+    # the top of every window, so with k = 1 it fills every copy at once
+    rng = np.random.default_rng(43)
+    n = 30
+    weights = np.concatenate([[5.0], rng.uniform(0.0, 1.0, n - 1)])
+    costs = np.concatenate([[0.0], rng.uniform(0.0, 0.5, n - 1)])
+    inst = rs.RegularizedInstance(rs.ModularOracle(weights), rs.ModularCost(costs), 1)
+    counted, _ = inst.counted()
+    diag = {}
+    stream = [0] + [int(x) for x in rng.permutation(np.arange(1, n))]
+    sol = rs.distorted_streaming(stream, counted, 0.1, 0.2, diagnostics=diag)
+    assert sol.elements == (0,)
+    assert diag["max_copies"] > 0
+    assert diag["per_element_marginals"][0] > 0
+    assert diag["per_element_marginals"][1:] == [0] * (n - 1)
 
 
 def test_ratio_conversions_examples():
