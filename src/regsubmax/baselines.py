@@ -23,10 +23,10 @@ def vanilla_greedy(instance: RegularizedInstance,
     minus a fixed cost), so stopping at the first non-positive round is
     exact.  Ties go to the smallest id.
     """
-    return greedy(instance, [1.0] * instance.k, candidates, stop=True)
+    return greedy(instance, [1.0] * instance.k, candidates)
 
 
-@dataclass
+@dataclass(slots=True)
 class SieveCopy:
     """Sieve-Streaming's set for one guess v of the optimum; ``fval`` is f(S)."""
 
@@ -64,8 +64,7 @@ class SieveLadder(ThresholdBank):
         return SieveCopy((1.0 + self.eps) ** i)
 
 
-def sieve_streaming(stream, instance: RegularizedInstance, eps: float,
-                    provenance: str = "sieve") -> Solution:
+def sieve_streaming(stream, instance: RegularizedInstance, eps: float) -> Solution:
     """Threshold streaming against geometric guesses of the optimal f-value.
 
     Guess v keeps a set that admits u when the f-marginal is at least
@@ -73,7 +72,7 @@ def sieve_streaming(stream, instance: RegularizedInstance, eps: float,
     max singleton f-value m; only positive singletons open the window, since
     a non-positive optimum is dominated by the empty set anyway.
     """
-    return SieveLadder(instance.k, eps).run(stream, instance, provenance)
+    return SieveLadder(instance.k, eps).run(stream, instance, "sieve")
 
 
 def _feasible_subsets(n: int, k: int):
@@ -115,11 +114,9 @@ def brute_force_distorted(instance: RegularizedInstance,
     return best_set, best_val
 
 
-def brute_force_opt(instance: RegularizedInstance,
-                    k: int | None = None) -> tuple[tuple[int, ...], float]:
-    """Exact argmax of f = 1*g - 1*ell within budget k (default: the instance's)."""
-    return brute_force_distorted(
-        instance, BenchmarkTarget(1.0, 1.0, instance.k if k is None else k))
+def brute_force_opt(instance: RegularizedInstance) -> tuple[tuple[int, ...], float]:
+    """Exact argmax of f = 1*g - 1*ell within the instance's budget."""
+    return brute_force_distorted(instance, BenchmarkTarget(1.0, 1.0, instance.k))
 
 
 def brute_force_tau(instance: RegularizedInstance, r: float, eps: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,17 +174,31 @@ def check_id(u: int, n: int) -> None:
         raise ValueError(f"element id {u} outside ground set of size {n}")
 
 
+def stream_ids(stream: ElementSet, n: int) -> Iterator[int]:
+    """The stream's ids, checked one by one as they are pulled.
+
+    ValueError on an id outside ``{0, .., n-1}`` or one seen before: a
+    stream is a set, and a repeated id would spend budget twice.
+    """
+    seen = bytearray(n)
+    for u in stream:
+        check_id(u, n)
+        if seen[u]:
+            raise ValueError(f"element id {u} repeated in the stream")
+        seen[u] = 1
+        yield u
+
+
 def greedy(instance: RegularizedInstance, weights: Sequence[float],
-           candidates: ElementSet | None = None,
-           stop: bool = False) -> list[int]:
+           candidates: ElementSet | None = None) -> list[int]:
     """The greedy kernel behind plain and distorted greedy.
 
     Iteration i scores every unchosen candidate u as ``weights[i] *
     marginal(u, S) - cost(u)`` in one ``gains`` call and adds the best one
     when its score is strictly positive; ties go to the smallest id.  A
-    round with nothing positive ends the run when ``stop`` is set (exact
-    when the weights never grow, since marginals only shrink) and is
-    skipped otherwise.
+    round with nothing positive ends the run when no later weight is larger
+    than its own (exact, since marginals only shrink and S stays as it is)
+    and is skipped otherwise.
     """
     oracle = instance.oracle
     cands = (np.arange(oracle.n) if candidates is None
@@ -195,7 +209,7 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
     costs = instance.cost.costs[cands]
     st = oracle.empty()
     S: list[int] = []
-    for w in weights:
+    for i, w in enumerate(weights):
         if cands.size == 0:
             break
         scores = w * oracle.gains(st, cands) - costs
@@ -205,7 +219,7 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
             oracle.add(st, u)
             S.append(u)
             cands, costs = np.delete(cands, j), np.delete(costs, j)
-        elif stop:
+        elif max(weights[i + 1:], default=w) <= w:
             break
     return S
 

@@ -14,17 +14,13 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from . import baselines, datasets, distributed, modefinding, objectives, streaming
 from .core import CountingOracle, ModularCost, RegularizedInstance, Solution
-
-RESULT_FIELDS = ("dataset", "algorithm", "k", "eps", "delta", "m", "seed",
-                 "f_value", "g_value", "ell_value", "oracle_calls", "wall_ms",
-                 "provenance")
-RESULT_HEADER = ",".join(RESULT_FIELDS)
 
 ROUND_FIELDS = ("dataset", "algorithm", "k", "eps", "m", "seed", "round",
                 "pool_sets", "pool_elements", "shard_sizes", "oracle_calls")
@@ -32,6 +28,8 @@ ROUND_FIELDS = ("dataset", "algorithm", "k", "eps", "m", "seed", "round",
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One result CSV row; the fields, in order, are the CSV's columns."""
+
     dataset: str
     algorithm: str
     k: int
@@ -45,6 +43,9 @@ class ResultRow:
     oracle_calls: int
     wall_ms: float
     provenance: str
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -261,16 +262,21 @@ def run_experiment(cfg: ExperimentConfig):
     if cfg.out:
         emit_results(rows, cfg.out)
         if round_rows:
-            emit_round_metrics(round_rows, cfg.out + ".rounds.csv")
+            _write_csv(cfg.out + ".rounds.csv", ROUND_FIELDS, round_rows)
     return rows, round_rows
 
 
-def _atomic_write(text: str, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Write header and rows (floats to 9 significant digits) atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write(buf.getvalue())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -280,39 +286,16 @@ def _atomic_write(text: str, path) -> None:
 
 def emit_results(rows, path) -> None:
     """Write the result CSV (fixed header, 9 significant digits, atomic)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_FIELDS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, name)) for name in RESULT_FIELDS])
-    _atomic_write(buf.getvalue(), path)
-
-
-def emit_round_metrics(round_rows, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROUND_FIELDS)
-    for row in round_rows:
-        writer.writerow([_fmt(x) for x in row])
-    _atomic_write(buf.getvalue(), path)
+    _write_csv(path, RESULT_FIELDS, map(astuple, rows))
 
 
 def parse_results(path) -> list[ResultRow]:
     """Read back an emitted result CSV into typed rows."""
-    out = []
+    types = get_type_hints(ResultRow)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != RESULT_FIELDS:
             raise ValueError(f"{path}: unexpected header {header}")
-        for rec in reader:
-            vals = dict(zip(RESULT_FIELDS, rec))
-            out.append(ResultRow(
-                dataset=vals["dataset"], algorithm=vals["algorithm"],
-                k=int(vals["k"]), eps=float(vals["eps"]),
-                delta=float(vals["delta"]), m=int(vals["m"]),
-                seed=int(vals["seed"]), f_value=float(vals["f_value"]),
-                g_value=float(vals["g_value"]), ell_value=float(vals["ell_value"]),
-                oracle_calls=int(vals["oracle_calls"]),
-                wall_ms=float(vals["wall_ms"]), provenance=vals["provenance"]))
-    return out
+        return [ResultRow(*(types[name](x) for name, x in zip(RESULT_FIELDS, rec)))
+                for rec in reader]

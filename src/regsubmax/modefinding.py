@@ -25,6 +25,7 @@ import numpy as np
 from .core import ElementSet, ModularCost, RegularizedInstance, SubmodularOracle
 
 EXHAUSTIVE_LIMIT = 10
+VIOLATION_TOL = 1e-9  # largest violation ``check_gamma_weak`` forgives
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,10 @@ class SurrogateOracle(SubmodularOracle):
     argmax comparisons, so reported rho values stay un-shifted.
     """
 
-    def __init__(self, inst: WeakSubmodularInstance, cost: ModularCost | None = None):
+    def __init__(self, inst: WeakSubmodularInstance):
         self.inst = inst
         self.n = inst.n
-        self.cost = derived_cost(inst) if cost is None else cost
+        self.cost = derived_cost(inst)
         empty = inst.rho_of(())
         if not math.isfinite(empty):
             raise ValueError("rho must be finite at the empty set")
@@ -104,8 +105,7 @@ def surrogate_instance(inst: WeakSubmodularInstance, k: int) -> RegularizedInsta
 
 
 def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
-                     samples: int = 2000, seed: int = 0,
-                     tol: float = 1e-9) -> tuple[bool, float]:
+                     samples: int = 2000, seed: int = 0) -> tuple[bool, float]:
     """Verify the weak-submodularity inequality; returns (ok, max violation).
 
     Exhaustive mode enumerates every (S, u, v) triple and is guarded to
@@ -145,7 +145,7 @@ def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     if worst == -math.inf:
         worst = 0.0
-    return worst <= tol, worst
+    return worst <= VIOLATION_TOL, worst
 
 
 @dataclass(frozen=True)

@@ -160,14 +160,12 @@ class VertexCoverOracle(SubmodularOracle):
         gain[hit[left[hit] == 0]] = 0.0
 
 
-def similarity_from_features(X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Dense similarity matrix M[i, j] = exp(-dist(x_i, x_j)).
+def similarity_from_features(X: np.ndarray) -> np.ndarray:
+    """Dense similarity matrix M[i, j] = exp(-||x_i - x_j||).
 
     Entries land in (0, 1] with an exact unit diagonal; the matrix is
     symmetrized to kill float asymmetry from the distance computation.
     """
-    if metric != "euclidean":
-        raise ValueError(f"unsupported metric {metric!r}")
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -279,6 +277,8 @@ class SaturatingCoverageOracle(SubmodularOracle):
         self.n = n
         table: dict[int, dict[int, float]] = {}
         for w, e, v in triples:
+            if not math.isfinite(v):
+                raise ValueError(f"score of word {w}, element {e} must be finite (got {v})")
             if v < 0:
                 raise ValueError(f"negative score {v} for word {w}, element {e}")
             if not 0 <= e < n:

@@ -10,10 +10,13 @@ On top of that, :func:`distorted_streaming` sweeps a small grid of target
 quality ratios, each mapping to a trade-off parameter ``r``, and keeps the
 best output across the grid.
 
-Everything here is single-pass over the element stream.  An element is
-offered only to the copies that still have room, and it costs one marginal
-evaluation per distinct set among them: copies holding equal sets, in one
-ladder or across the grid, share it (see :class:`ElementMemo`).
+Everything here is single-pass over the element stream, and a stream names
+each element at most once.  A ladder copy is one :class:`ThresholdState`
+object holding its rule and its set.  An element is offered only to the
+copies that still have room, and it costs one marginal evaluation per
+distinct set among them: copies holding equal sets, in one ladder or across
+the grid, share it, and the memo's miss count is the number of marginals
+actually computed (see :class:`ElementMemo`).
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import (CountingOracle, ElementSet, RegularizedInstance, Solution,
-                   SubmodularOracle, best_solution, check_id)
+from .core import (ElementSet, RegularizedInstance, Solution, SubmodularOracle,
+                   best_solution, stream_ids)
 
 _SNAP = 1e-9
 
@@ -79,40 +82,35 @@ def geometric_index_range(lo: float, hi: float, base: float) -> range:
                  _snap_floor(math.log(hi) / lb) + 1)
 
 
-@dataclass
-class ThresholdParams:
-    """Fixed-threshold accept rule: marginal - multiplier * cost >= tau."""
+@dataclass(slots=True)
+class ThresholdState:
+    """One threshold run at trade-off r, as one object.
+
+    It accepts u while it holds fewer than k elements and marginal(u, S) -
+    multiplier * cost(u) >= tau, with multiplier = cost_multiplier(r);
+    ``live`` turns False when the k-th element is taken.
+    """
 
     r: float
     tau: float
     k: int
-    factor: float = field(init=False)
+    S: list[int] = field(default_factory=list)
     multiplier: float = field(init=False)
+    live: bool = field(init=False, default=True)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("budget k must be >= 1")
-        self.factor = approx_factor(self.r)
         self.multiplier = cost_multiplier(self.r)
-
-
-@dataclass
-class ThresholdState:
-    """A single threshold run; accepts greedily until the budget fills."""
-
-    params: ThresholdParams
-    S: list[int] = field(default_factory=list)
-    live: bool = True
 
     def offer(self, u: int, instance: RegularizedInstance) -> bool:
         """Accept/reject one stream element.  Dead runs reject for free."""
         if not self.live:
             return False
-        p = self.params
-        surplus = instance.oracle.marginal(u, self.S) - p.multiplier * instance.cost[u]
-        if surplus >= p.tau:
-            self.S.append(u)
-            if len(self.S) >= p.k:
+        S = self.S
+        if instance.oracle.marginal(u, S) - self.multiplier * instance.cost[u] >= self.tau:
+            S.append(u)
+            if len(S) >= self.k:
                 self.live = False
             return True
         return False
@@ -125,15 +123,12 @@ class ThresholdState:
 
 
 def threshold_streaming(stream, instance: RegularizedInstance, r: float,
-                        tau: float, provenance: str | None = None) -> Solution:
+                        tau: float) -> Solution:
     """Single pass with a known threshold tau at trade-off r."""
-    state = ThresholdState(ThresholdParams(r, tau, instance.k))
-    for u in stream:
-        check_id(u, instance.n)
+    state = ThresholdState(r, tau, instance.k)
+    for u in stream_ids(stream, instance.n):
         state.offer(u, instance)
-    if provenance is None:
-        provenance = f"threshold-streaming[r={r:.6g},tau={tau:.6g}]"
-    return state.finish(instance, provenance)
+    return state.finish(instance, f"threshold-streaming[r={r:.6g},tau={tau:.6g}]")
 
 
 def threshold_index_range(best_single: float, k: int, r: float,
@@ -159,12 +154,14 @@ class ElementMemo(SubmodularOracle):
     Ladder copies ask ``marginal(u, S)`` for the same element ``u`` and
     often for equal sets ``S``.  The memo keys on ``tuple(S)`` and is
     dropped the moment a call names another element, so it holds one
-    element's sets at most.  ``value`` passes straight through.
+    element's sets at most.  ``misses`` counts the marginals passed on to
+    the inner oracle.  ``value`` passes straight through.
     """
 
     def __init__(self, inner: SubmodularOracle):
         self.inner = inner
         self.n = inner.n
+        self.misses = 0
         self._u = None
         self._memo: dict[tuple[int, ...], float] = {}
 
@@ -178,6 +175,7 @@ class ElementMemo(SubmodularOracle):
         key = tuple(S)
         gain = self._memo.get(key)
         if gain is None:
+            self.misses += 1
             gain = self._memo[key] = self.inner.marginal(u, S)
         return gain
 
@@ -202,13 +200,15 @@ class ThresholdBank:
     those alone, and a copy leaves ``live`` (but stays in ``copies``) the
     moment it holds k elements.  ``run`` and :func:`distorted_streaming`
     offer through an :class:`ElementMemo`, so copies holding equal sets
-    share one marginal evaluation per element.
+    share one marginal evaluation per element; its ``misses`` count those
+    evaluations.
 
     This is the one lazy ladder of the package.  A variant overrides
     ``window`` (the exponents worth keeping for the current anchor) and
-    ``new_copy`` (the run kept for exponent i); a copy needs only a list
-    ``S`` and ``offer(u, instance)``, which returns True when it took ``u``.
-    Sieve-Streaming is such a variant.
+    ``new_copy`` (the run kept for exponent i).  A copy is a single object
+    with a list ``S`` and ``offer(u, instance)``, which returns True when it
+    took ``u``: a :class:`ThresholdState` here, a ``SieveCopy`` in
+    Sieve-Streaming's variant.
     """
 
     def __init__(self, r: float, k: int, eps: float):
@@ -233,7 +233,7 @@ class ThresholdBank:
 
     def new_copy(self, i: int) -> ThresholdState:
         """A fresh run for threshold (1+eps)**i."""
-        return ThresholdState(ThresholdParams(self.r, (1.0 + self.eps) ** i, self.k))
+        return ThresholdState(self.r, (1.0 + self.eps) ** i, self.k)
 
     def step(self, u: int, instance: RegularizedInstance,
              singleton_value: float | None = None) -> None:
@@ -258,33 +258,34 @@ class ThresholdBank:
     def run(self, stream, instance: RegularizedInstance, label: str) -> Solution:
         """Step through the whole stream, then finish."""
         shared = _with_memo(instance)
-        for u in stream:
-            check_id(u, instance.n)
+        for u in stream_ids(stream, instance.n):
             self.step(u, shared)
         return self.finish(instance, label)
 
     def stored_elements(self) -> int:
         return sum(len(c.S) for c in self.copies.values())
 
-    def finish(self, instance: RegularizedInstance,
-               label: str = "threshold-bank") -> Solution:
-        """Best collected set across surviving copies, or the empty set.
+    def candidates(self, instance: RegularizedInstance, label: str):
+        """The copies' sets as Solutions, ascending by exponent, lazily.
 
         A copy holding the same set as the copy below it (the lowest one:
         the empty set) has the same f and comes later, so under the
-        first-strict-max rule it cannot win and is not evaluated.
+        first-strict-max rule it cannot win and is not evaluated.  A
+        generator, so a best-of pick keeps only its best Solution alive.
         """
-        # Generators, so only the best Solution so far stays alive.
-        def distinct():
-            below = []
-            for i in sorted(self.copies):
-                S = self.copies[i].S
-                if S != below:
-                    yield Solution.evaluate(instance, S, f"{label}[i={i}]")
-                below = S
+        below = []
+        for i in sorted(self.copies):
+            S = self.copies[i].S
+            if S != below:
+                yield Solution.evaluate(instance, S, f"{label}[i={i}]")
+            below = S
 
+    def finish(self, instance: RegularizedInstance,
+               label: str = "threshold-bank") -> Solution:
+        """Best collected set across surviving copies, or the empty set."""
         return best_solution(chain(
-            [Solution.evaluate(instance, (), f"{label}[empty]")], distinct()))
+            [Solution.evaluate(instance, (), f"{label}[empty]")],
+            self.candidates(instance, label)))
 
 
 def beta_for_ratio(ratio: float) -> float:
@@ -345,36 +346,35 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
 
     Each grid entry runs a lazy ThresholdBank; all of them share one
     singleton evaluation per element and one marginal evaluation per
-    distinct set.
+    distinct set.  The banks' copies compete with a single empty set.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
     elements, peak copy counts, and per-element marginal-call counts (the
-    latter only when the instance oracle is counting).
+    memo's misses, one per distinct set).
     """
     grid = ratio_grid(eps, delta)
-    counting = instance.oracle if isinstance(instance.oracle, CountingOracle) else None
     banks = [ThresholdBank(g.r, instance.k, eps) for g in grid]
     shared = _with_memo(instance)
+    memo = shared.oracle
 
     max_stored = 0
     max_copies = 0
     per_element_marginals: list[int] = []
-    for u in stream:
-        check_id(u, instance.n)
-        before = counting.marginal_calls if counting is not None else 0
+    for u in stream_ids(stream, instance.n):
+        before = memo.misses
         singleton = instance.oracle.value((u,))
         for bank in banks:
             bank.step(u, shared, singleton)
         if diagnostics is not None:
             max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
             max_copies = max(max_copies, sum(len(b.copies) for b in banks))
-            if counting is not None:
-                per_element_marginals.append(counting.marginal_calls - before)
+            per_element_marginals.append(memo.misses - before)
 
+    labelled = (bank.candidates(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
+                for g, bank in zip(grid, banks))
     best = best_solution(chain(
         [Solution.evaluate(instance, (), "distorted-streaming[empty]")],
-        (bank.finish(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
-         for g, bank in zip(grid, banks))))
+        chain.from_iterable(labelled)))
 
     if diagnostics is not None:
         diagnostics["grid"] = grid

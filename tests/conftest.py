@@ -113,7 +113,7 @@ def eager_threshold_reference(stream, instance, r, eps) -> rs.Solution:
         if score > 0 and score > best:
             best = score
     window = rs.threshold_index_range(best, instance.k, r, eps)
-    states = {i: rs.ThresholdState(rs.ThresholdParams(r, (1.0 + eps) ** i, instance.k))
+    states = {i: rs.ThresholdState(r, (1.0 + eps) ** i, instance.k)
               for i in window}
     for u in stream:
         for i in sorted(states):
@@ -188,8 +188,7 @@ def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
                 del copies[i]
             for i in window:
                 if i not in copies:
-                    copies[i] = rs.ThresholdState(
-                        rs.ThresholdParams(g.r, (1.0 + eps) ** i, k))
+                    copies[i] = rs.ThresholdState(g.r, (1.0 + eps) ** i, k)
             for i in sorted(copies):
                 copies[i].offer(u, instance)
 

@@ -108,12 +108,6 @@ def test_brute_force_three_node(three_node_cover):
     assert rs.brute_force_opt(inst) == ((0,), 2.0)
 
 
-def test_brute_force_k_zero_override(three_node_cover):
-    _, oracle, cost = three_node_cover
-    inst = rs.RegularizedInstance(oracle, cost, 2)
-    assert rs.brute_force_opt(inst, k=0) == ((), 0.0)
-
-
 def test_brute_force_respects_budget():
     oracle = rs.ModularOracle([1.0, 1.0, 1.0])
     inst = rs.RegularizedInstance(oracle, rs.ModularCost(np.zeros(3)), 2)

@@ -122,3 +122,14 @@ def test_entry_points_reject_ids_outside_ground_set(algo):
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="outside ground set"):
             run(inst, [0, bad])
+
+
+@pytest.mark.parametrize("algo", ["sieve", "distorted-streaming", "threshold-streaming"])
+def test_stream_entry_points_reject_repeated_ids(algo):
+    # a repeated id would be offered twice and could be selected twice
+    kind, run = ENTRY_POINTS[algo]
+    inst = make_instance(np.random.default_rng(3), kind, 8, 3)
+    with pytest.raises(ValueError, match="repeated"):
+        run(inst, [0, 0])
+    with pytest.raises(ValueError, match="repeated"):
+        run(inst, [3, 0, 5, 0])

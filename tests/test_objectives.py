@@ -99,8 +99,6 @@ def test_similarity_from_features_examples():
     assert np.allclose(M, M.T)
     with pytest.raises(ValueError):
         rs.similarity_from_features(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        rs.similarity_from_features(np.eye(2), metric="cosine")
 
 
 def test_similarity_entries_in_unit_interval():
@@ -272,7 +270,8 @@ def test_logdet_rejects_asymmetric_kernel():
     lambda bad: rs.VertexCoverOracle(rs.DirectedGraph.from_edges([(0, 1)]), [1.0, bad]),
     lambda bad: rs.LogDetOracle(np.array([[1.0, bad], [bad, 1.0]])),
     lambda bad: rs.ModularOracle([1.0, bad]),
-], ids=["facility", "vertex-cover", "logdet", "modular"])
+    lambda bad: rs.SaturatingCoverageOracle([(0, 0, bad), (0, 1, 1.0)], 2),
+], ids=["facility", "vertex-cover", "logdet", "modular", "saturating-coverage"])
 def test_oracles_reject_non_finite_data(make):
     make(0.5)
     for bad in (np.nan, np.inf):

@@ -31,6 +31,7 @@ def test_public_names_resolve_once():
     for name in rs.__all__:
         assert hasattr(rs, name), name
     for gone in ("vertex_cover_value", "facility_location_value", "logdet_value",
-                 "saturating_coverage_value", "slc_log_density", "reservoir_update"):
+                 "saturating_coverage_value", "slc_log_density", "reservoir_update",
+                 "ThresholdParams"):
         assert gone not in rs.__all__
         assert not hasattr(rs, gone)

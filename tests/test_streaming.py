@@ -59,24 +59,24 @@ def test_surplus_identity():
         assert lhs == pytest.approx((math.sqrt(4 * r * r + 1) - 1) / 2, abs=1e-12)
 
 
-def test_threshold_params_derived_fields():
-    p = rs.ThresholdParams(1.0, 0.3, 2)
-    assert p.factor == pytest.approx(GOLDEN ** -2, abs=1e-12)
-    assert p.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
+def test_threshold_state_derived_multiplier():
+    state = rs.ThresholdState(1.0, 0.3, 2)
+    assert state.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
+    assert state.S == [] and state.live
     with pytest.raises(ValueError):
-        rs.ThresholdParams(1.0, 0.3, 0)
+        rs.ThresholdState(1.0, 0.3, 0)
 
 
 def test_threshold_accept_boundary(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
     # marginal 3 minus multiplier(1)*1 = 0.381966...; tau inclusive at >=
-    state = rs.ThresholdState(rs.ThresholdParams(1.0, 0.3, 2))
+    state = rs.ThresholdState(1.0, 0.3, 2)
     assert state.offer(0, inst) is True
     assert state.S == [0]
-    tight = rs.ThresholdState(rs.ThresholdParams(1.0, 0.5, 2))
+    tight = rs.ThresholdState(1.0, 0.5, 2)
     assert tight.offer(0, inst) is False
-    exact = rs.ThresholdState(rs.ThresholdParams(1.0, 3.0 - GOLDEN ** 2, 2))
+    exact = rs.ThresholdState(1.0, 3.0 - GOLDEN ** 2, 2)
     assert exact.offer(0, inst) is True  # ties accept
 
 
@@ -85,7 +85,7 @@ def test_threshold_budget_kills_state(three_node_cover):
     inst = rs.RegularizedInstance(oracle, cost, 1)
     counter = rs.CountingOracle(oracle)
     counted = rs.RegularizedInstance(counter, cost, 1)
-    state = rs.ThresholdState(rs.ThresholdParams(1.0, 0.3, 1))
+    state = rs.ThresholdState(1.0, 0.3, 1)
     assert state.offer(0, counted)
     assert not state.live
     before = counter.calls
@@ -97,7 +97,7 @@ def test_threshold_budget_kills_state(three_node_cover):
 def test_threshold_finish_prefers_empty_on_negative_f():
     oracle = rs.ModularOracle([0.5])
     inst = rs.RegularizedInstance(oracle, rs.ModularCost(np.array([1.0])), 1)
-    state = rs.ThresholdState(rs.ThresholdParams(1.0, 0.1, 1), S=[0])
+    state = rs.ThresholdState(1.0, 0.1, 1, S=[0])
     sol = state.finish(inst)
     assert sol.elements == ()
     assert sol.f_value == 0.0
@@ -118,7 +118,7 @@ def test_threshold_collected_surplus_invariant():
         inst = make_instance(rng, KINDS[t % 5], 8, 3)
         r = float(rng.choice([0.25, 1.0, 4.0]))
         tau = float(rng.uniform(0.01, 0.5))
-        state = rs.ThresholdState(rs.ThresholdParams(r, tau, inst.k))
+        state = rs.ThresholdState(r, tau, inst.k)
         for u in range(8):
             state.offer(u, inst)
         lhs = inst.oracle.value(state.S) - rs.cost_multiplier(r) * inst.cost(state.S)
@@ -216,7 +216,7 @@ def test_bank_finish_keeps_lowest_exponent_among_equal_sets():
         rs.ModularOracle([3.0, 1.0]), rs.ModularCost(np.zeros(2)), 2).counted()
     bank = rs.ThresholdBank(1.0, 2, 0.5)
     for i, S in ((2, [0]), (-1, []), (1, [0]), (0, [1])):
-        bank.copies[i] = rs.ThresholdState(rs.ThresholdParams(1.0, 1.5 ** i, 2), S=S)
+        bank.copies[i] = rs.ThresholdState(1.0, 1.5 ** i, 2, S=S)
     sol = bank.finish(inst)
     assert (sol.elements, sol.provenance) == ((0,), "threshold-bank[i=1]")
     # the empty set, [1] and [0]: copy -1 repeats the empty set, 2 repeats 1
