@@ -6,11 +6,11 @@ everything else against; they are guarded to small ground sets on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import RegularizedInstance, Solution, greedy
-from .streaming import ThresholdBank, approx_factor, geometric_index_range
+from .streaming import SetNode, ThresholdBank, approx_factor, geometric_index_range
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -26,42 +26,26 @@ def vanilla_greedy(instance: RegularizedInstance,
     return greedy(instance, [1.0] * instance.k, candidates)
 
 
-@dataclass(slots=True)
-class SieveCopy:
-    """Sieve-Streaming's set for one guess v of the optimum; ``fval`` is f(S)."""
-
-    v: float
-    S: list[int] = field(default_factory=list)
-    fval: float = 0.0
-
-    def offer(self, u: int, instance: RegularizedInstance) -> bool:
-        S, k = self.S, instance.k
-        if len(S) < k:
-            gain = instance.oracle.marginal(u, S) - instance.cost[u]
-            if gain >= (self.v / 2.0 - self.fval) / (k - len(S)):
-                S.append(u)
-                self.fval += gain
-                return True
-        return False
-
-
 class SieveLadder(ThresholdBank):
-    """The threshold ladder with Sieve-Streaming's window and copies.
+    """The threshold ladder with Sieve-Streaming's window and accept rule.
 
     The anchor m is the best singleton f-value (unit weight on g and on the
-    cost) and the guesses (1+eps)**i live in [m, 2*k*m].
+    cost) and the guesses v = (1+eps)**i live in [m, 2*k*m].  The surplus
+    is the f-marginal, and guess v takes it into S when it is at least
+    (v/2 - f(S)) / (k - |S|).
     """
 
     def __init__(self, k: int, eps: float):
         super().__init__(1.0, k, eps)
         self._factor = 1.0
+        self.multiplier = 1.0
 
     def window(self) -> range:
         m = self.best_single
         return geometric_index_range(m, 2.0 * self.k * m, 1.0 + self.eps)
 
-    def new_copy(self, i: int) -> SieveCopy:
-        return SieveCopy((1.0 + self.eps) ** i)
+    def threshold(self, i: int, node: SetNode) -> float:
+        return ((1.0 + self.eps) ** i / 2.0 - node.f) / (self.k - len(node.S))
 
 
 def sieve_streaming(stream, instance: RegularizedInstance, eps: float) -> Solution:

@@ -155,7 +155,7 @@ class RegularizedInstance:
         return self.oracle.n
 
     def f(self, S: ElementSet) -> float:
-        S = list(S)
+        S = set_ids(S, self.n)
         return self.oracle.value(S) - self.cost(S)
 
     def counted(self) -> tuple["RegularizedInstance", CountingOracle]:
@@ -187,6 +187,20 @@ def stream_ids(stream: ElementSet, n: int) -> Iterator[int]:
             raise ValueError(f"element id {u} repeated in the stream")
         seen[u] = 1
         yield u
+
+
+def set_ids(S: ElementSet, n: int) -> tuple[int, ...]:
+    """The set's ids as a tuple, checked as :func:`stream_ids` checks a stream.
+
+    ValueError on an id outside ``{0, .., n-1}`` or a repeated one: the
+    oracles read ``S`` as a set while the cost would count a repeat twice.
+    """
+    elems = tuple(S)
+    for u in elems:
+        check_id(u, n)
+    if len(set(elems)) < len(elems):
+        raise ValueError(f"element ids repeated in the set {elems}")
+    return elems
 
 
 def greedy(instance: RegularizedInstance, weights: Sequence[float],
@@ -241,7 +255,7 @@ class Solution:
     @classmethod
     def evaluate(cls, instance: RegularizedInstance, elements: ElementSet,
                  provenance: str = "") -> "Solution":
-        elems = tuple(elements)
+        elems = set_ids(elements, instance.n)
         g = instance.oracle.value(elems)
         ell = instance.cost(elems)
         return cls(elems, g - ell, g, ell, provenance)

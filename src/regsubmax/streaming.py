@@ -11,22 +11,22 @@ quality ratios, each mapping to a trade-off parameter ``r``, and keeps the
 best output across the grid.
 
 Everything here is single-pass over the element stream, and a stream names
-each element at most once.  A ladder copy is one :class:`ThresholdState`
-object holding its rule and its set.  An element is offered only to the
-copies that still have room, and it costs one marginal evaluation per
-distinct set among them: copies holding equal sets, in one ladder or across
-the grid, share it, and the memo's miss count is the number of marginals
-actually computed (see :class:`ElementMemo`).
+each element at most once.  Sets therefore grow in stream order, and a set
+is its parent set plus the element that made it: a :class:`SetNode`.  A
+ladder copy is an integer exponent mapped to the node holding its set.  A
+node makes at most one child per element and the grid's ladders share one
+root, so copies holding equal sets hold the same node, and an element costs
+one marginal evaluation per distinct set among the copies with room.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import (ElementSet, RegularizedInstance, Solution, SubmodularOracle,
-                   best_solution, stream_ids)
+from .core import RegularizedInstance, Solution, best_solution, stream_ids
 
 _SNAP = 1e-9
 
@@ -53,18 +53,12 @@ def cost_multiplier(r: float) -> float:
     return (2.0 * r + 1.0 + math.sqrt(4.0 * r * r + 1.0)) / 2.0
 
 
-def _snap_ceil(x: float) -> int:
+def _snap(x: float, rounding) -> int:
+    """``rounding(x)``, or the nearest integer when x is within _SNAP of it."""
     r = round(x)
     if abs(x - r) <= _SNAP:
         return int(r)
-    return math.ceil(x)
-
-
-def _snap_floor(x: float) -> int:
-    r = round(x)
-    if abs(x - r) <= _SNAP:
-        return int(r)
-    return math.floor(x)
+    return rounding(x)
 
 
 def geometric_index_range(lo: float, hi: float, base: float) -> range:
@@ -78,17 +72,16 @@ def geometric_index_range(lo: float, hi: float, base: float) -> range:
     if lo <= 0.0 or hi <= 0.0 or hi < lo or math.isinf(hi):
         return range(0)
     lb = math.log(base)
-    return range(_snap_ceil(math.log(lo) / lb),
-                 _snap_floor(math.log(hi) / lb) + 1)
+    return range(_snap(math.log(lo) / lb, math.ceil),
+                 _snap(math.log(hi) / lb, math.floor) + 1)
 
 
 @dataclass(slots=True)
 class ThresholdState:
-    """One threshold run at trade-off r, as one object.
+    """One fixed-threshold run at trade-off r, as one object.
 
     It accepts u while it holds fewer than k elements and marginal(u, S) -
-    multiplier * cost(u) >= tau, with multiplier = cost_multiplier(r);
-    ``live`` turns False when the k-th element is taken.
+    multiplier * cost(u) >= tau, with multiplier = cost_multiplier(r).
     """
 
     r: float
@@ -96,7 +89,6 @@ class ThresholdState:
     k: int
     S: list[int] = field(default_factory=list)
     multiplier: float = field(init=False)
-    live: bool = field(init=False, default=True)
 
     def __post_init__(self):
         if self.k < 1:
@@ -104,14 +96,11 @@ class ThresholdState:
         self.multiplier = cost_multiplier(self.r)
 
     def offer(self, u: int, instance: RegularizedInstance) -> bool:
-        """Accept/reject one stream element.  Dead runs reject for free."""
-        if not self.live:
-            return False
+        """Accept/reject one stream element.  Full runs reject for free."""
         S = self.S
-        if instance.oracle.marginal(u, S) - self.multiplier * instance.cost[u] >= self.tau:
+        if (len(S) < self.k and instance.oracle.marginal(u, S)
+                - self.multiplier * instance.cost[u] >= self.tau):
             S.append(u)
-            if len(S) >= self.k:
-                self.live = False
             return True
         return False
 
@@ -148,41 +137,21 @@ def threshold_index_range(best_single: float, k: int, r: float,
     return geometric_index_range(best_single / k, hi, 1.0 + eps)
 
 
-class ElementMemo(SubmodularOracle):
-    """Oracle wrapper that computes one marginal per distinct set per element.
+@dataclass(slots=True, eq=False)
+class SetNode:
+    """One set grown in stream order, shared by every ladder copy holding it.
 
-    Ladder copies ask ``marginal(u, S)`` for the same element ``u`` and
-    often for equal sets ``S``.  The memo keys on ``tuple(S)`` and is
-    dropped the moment a call names another element, so it holds one
-    element's sets at most.  ``misses`` counts the marginals passed on to
-    the inner oracle.  ``value`` passes straight through.
+    ``S`` is the set as a tuple and ``f`` the f-gains summed along the path
+    that built it.  ``u`` is the element last offered to the node, ``gain``
+    its marginal against ``S``, and ``child`` the node ``S + (u,)`` once a
+    copy takes ``u``.  One child per element makes equal sets one node.
     """
 
-    def __init__(self, inner: SubmodularOracle):
-        self.inner = inner
-        self.n = inner.n
-        self.misses = 0
-        self._u = None
-        self._memo: dict[tuple[int, ...], float] = {}
-
-    def value(self, S: ElementSet) -> float:
-        return self.inner.value(S)
-
-    def marginal(self, u: int, S: ElementSet) -> float:
-        if u != self._u:
-            self._u = u
-            self._memo = {}
-        key = tuple(S)
-        gain = self._memo.get(key)
-        if gain is None:
-            self.misses += 1
-            gain = self._memo[key] = self.inner.marginal(u, S)
-        return gain
-
-
-def _with_memo(instance: RegularizedInstance) -> RegularizedInstance:
-    """The same instance with its oracle behind an :class:`ElementMemo`."""
-    return RegularizedInstance(ElementMemo(instance.oracle), instance.cost, instance.k)
+    S: tuple[int, ...]
+    f: float
+    u: int | None = field(init=False, default=None)
+    gain: float = field(init=False, default=0.0)
+    child: SetNode | None = field(init=False, default=None)
 
 
 class ThresholdBank:
@@ -195,20 +164,18 @@ class ThresholdBank:
     small without changing any output.
 
     The window is a function of the anchor alone, so copies are retired and
-    created only when the anchor rises.  ``live`` holds the copies that
-    still have room, in ascending exponent order: an element is offered to
-    those alone, and a copy leaves ``live`` (but stays in ``copies``) the
-    moment it holds k elements.  ``run`` and :func:`distorted_streaming`
-    offer through an :class:`ElementMemo`, so copies holding equal sets
-    share one marginal evaluation per element; its ``misses`` count those
-    evaluations.
+    created only when the anchor rises.  ``copies`` maps each exponent to
+    the :class:`SetNode` of its set; a new copy starts at ``root``, the
+    empty set, which :func:`distorted_streaming` shares across its banks.
+    ``groups`` lists, for each node with room, its copies' exponents in
+    ascending order.  An element costs one marginal per node, one surplus
+    per group, and one bisection for the prefix of exponents whose
+    threshold the surplus clears: those copies move to the node's child.
 
     This is the one lazy ladder of the package.  A variant overrides
     ``window`` (the exponents worth keeping for the current anchor) and
-    ``new_copy`` (the run kept for exponent i).  A copy is a single object
-    with a list ``S`` and ``offer(u, instance)``, which returns True when it
-    took ``u``: a :class:`ThresholdState` here, a ``SieveCopy`` in
-    Sieve-Streaming's variant.
+    ``threshold`` (the surplus copy i needs at a node), which must not
+    decrease with i.
     """
 
     def __init__(self, r: float, k: int, eps: float):
@@ -222,44 +189,69 @@ class ThresholdBank:
         self.k = k
         self.eps = eps
         self.best_single = -math.inf
-        self.copies: dict[int, ThresholdState] = {}
-        self.live: list[ThresholdState] = []
-        # The anchor is the singleton score _factor * g({u}) - r * cost(u).
+        self.root = SetNode((), 0.0)
+        self.copies: dict[int, SetNode] = {}
+        self.groups: dict[SetNode, list[int]] = {}
+        # The anchor is the singleton score _factor * g({u}) - r * cost(u);
+        # an element's surplus is marginal(u, S) - multiplier * cost(u).
         self._factor = approx_factor(r)
+        self.multiplier = cost_multiplier(r)
 
     def window(self) -> range:
         """Exponents of the copies worth keeping for the current anchor."""
         return threshold_index_range(self.best_single, self.k, self.r, self.eps)
 
-    def new_copy(self, i: int) -> ThresholdState:
-        """A fresh run for threshold (1+eps)**i."""
-        return ThresholdState(self.r, (1.0 + self.eps) ** i, self.k)
+    def threshold(self, i: int, node: SetNode) -> float:
+        """Surplus copy i needs to take an element into ``node``'s set."""
+        return (1.0 + self.eps) ** i
 
     def step(self, u: int, instance: RegularizedInstance,
-             singleton_value: float | None = None) -> None:
-        """Advance the bank by one stream element."""
+             singleton_value: float | None = None) -> int:
+        """Advance the bank by one stream element.
+
+        Returns the number of marginals it computed: nodes that another
+        bank already asked about ``u`` reuse that bank's.
+        """
         if singleton_value is None:
             singleton_value = instance.oracle.value((u,))
-        score = self._factor * singleton_value - self.r * instance.cost[u]
+        cost = instance.cost[u]
+        score = self._factor * singleton_value - self.r * cost
         # A non-positive anchor opens no window either way; keeping -inf
         # until the first positive score makes that explicit.
         if score > 0.0 and score > self.best_single:
             self.best_single = score
-            self.copies = {i: self.copies[i] if i in self.copies else self.new_copy(i)
-                           for i in self.window()}
-            self.live = [c for c in self.copies.values() if len(c.S) < self.k]
-        filled = False
-        for c in self.live:
-            if c.offer(u, instance) and len(c.S) >= self.k:
-                filled = True
-        if filled:
-            self.live = [c for c in self.live if len(c.S) < self.k]
+            self.copies = {i: self.copies.get(i, self.root) for i in self.window()}
+            self.groups = {}
+            for i, node in self.copies.items():
+                if len(node.S) < self.k:
+                    self.groups.setdefault(node, []).append(i)
+        computed = 0
+        groups = {}
+        for node, exps in self.groups.items():
+            if node.u != u:
+                node.u, node.gain, node.child = u, instance.oracle.marginal(u, node.S), None
+                computed += 1
+            surplus = node.gain - self.multiplier * cost
+            # Most groups reject outright; `not >=` also rejects a NaN surplus.
+            if not surplus >= self.threshold(exps[0], node):
+                groups[node] = exps
+                continue
+            j = bisect_right(exps, surplus, 1, key=lambda i: self.threshold(i, node))
+            if node.child is None:
+                node.child = SetNode(node.S + (u,), node.f + (node.gain - cost))
+            for i in exps[:j]:
+                self.copies[i] = node.child
+            if len(node.child.S) < self.k:
+                groups[node.child] = exps[:j]
+            if j < len(exps):
+                groups[node] = exps[j:]
+        self.groups = groups
+        return computed
 
     def run(self, stream, instance: RegularizedInstance, label: str) -> Solution:
         """Step through the whole stream, then finish."""
-        shared = _with_memo(instance)
         for u in stream_ids(stream, instance.n):
-            self.step(u, shared)
+            self.step(u, instance)
         return self.finish(instance, label)
 
     def stored_elements(self) -> int:
@@ -273,9 +265,9 @@ class ThresholdBank:
         first-strict-max rule it cannot win and is not evaluated.  A
         generator, so a best-of pick keeps only its best Solution alive.
         """
-        below = []
+        below = ()
         for i in sorted(self.copies):
-            S = self.copies[i].S
+            S = tuple(self.copies[i].S)
             if S != below:
                 yield Solution.evaluate(instance, S, f"{label}[i={i}]")
             below = S
@@ -329,7 +321,7 @@ def ratio_grid(eps: float, delta: float) -> list[RatioGuess]:
         raise ValueError("eps must lie in (0, 1/2]")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    top = _snap_floor(math.log(1.0 / (2.0 * eps)) / math.log(1.0 + delta))
+    top = _snap(math.log(1.0 / (2.0 * eps)) / math.log(1.0 + delta), math.floor)
     entries = []
     for i in range(top + 1):
         ratio = eps * (1.0 + delta) ** i
@@ -344,31 +336,30 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
                         delta: float, diagnostics: dict | None = None) -> Solution:
     """One pass over the stream, best output across the ratio grid.
 
-    Each grid entry runs a lazy ThresholdBank; all of them share one
-    singleton evaluation per element and one marginal evaluation per
-    distinct set.  The banks' copies compete with a single empty set.
+    Each grid entry runs a lazy ThresholdBank and all of them grow their
+    sets from one shared root, so they share one singleton evaluation per
+    element and one marginal evaluation per distinct set.  The banks'
+    copies compete with a single empty set.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
-    elements, peak copy counts, and per-element marginal-call counts (the
-    memo's misses, one per distinct set).
+    elements, peak copy counts, and per-element marginal-call counts (one
+    per distinct set among the copies with room).
     """
     grid = ratio_grid(eps, delta)
     banks = [ThresholdBank(g.r, instance.k, eps) for g in grid]
-    shared = _with_memo(instance)
-    memo = shared.oracle
+    for bank in banks[1:]:
+        bank.root = banks[0].root
 
     max_stored = 0
     max_copies = 0
     per_element_marginals: list[int] = []
     for u in stream_ids(stream, instance.n):
-        before = memo.misses
         singleton = instance.oracle.value((u,))
-        for bank in banks:
-            bank.step(u, shared, singleton)
+        computed = sum(bank.step(u, instance, singleton) for bank in banks)
         if diagnostics is not None:
             max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
             max_copies = max(max_copies, sum(len(b.copies) for b in banks))
-            per_element_marginals.append(memo.misses - before)
+            per_element_marginals.append(computed)
 
     labelled = (bank.candidates(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
                 for g, bank in zip(grid, banks))

@@ -102,6 +102,20 @@ def test_solution_evaluate_and_best():
         rs.best_solution([])
 
 
+@pytest.mark.parametrize("score", ["f", "evaluate"])
+def test_set_scores_reject_repeated_and_outside_ids(score):
+    # the cost would count a repeated id twice while g reads a set
+    inst = rs.RegularizedInstance(rs.ModularOracle([3.0, 1.0]),
+                                  rs.ModularCost(np.array([1.0, 0.5])), 2)
+    run = {"f": inst.f, "evaluate": lambda S: rs.Solution.evaluate(inst, S).f_value}[score]
+    assert run([0]) == 2.0
+    with pytest.raises(ValueError, match="repeated"):
+        run([0, 0])
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="outside ground set"):
+            run([bad])
+
+
 ENTRY_POINTS = {
     "greedy": ("logdet", lambda inst, ids: rs.vanilla_greedy(inst, candidates=ids)),
     "distorted-greedy": ("facility",

@@ -62,7 +62,7 @@ def test_surplus_identity():
 def test_threshold_state_derived_multiplier():
     state = rs.ThresholdState(1.0, 0.3, 2)
     assert state.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
-    assert state.S == [] and state.live
+    assert state.S == [] and len(state.S) < state.k
     with pytest.raises(ValueError):
         rs.ThresholdState(1.0, 0.3, 0)
 
@@ -87,7 +87,7 @@ def test_threshold_budget_kills_state(three_node_cover):
     counted = rs.RegularizedInstance(counter, cost, 1)
     state = rs.ThresholdState(1.0, 0.3, 1)
     assert state.offer(0, counted)
-    assert not state.live
+    assert len(state.S) == state.k
     before = counter.calls
     assert state.offer(1, counted) is False
     assert counter.calls == before  # dead state spends nothing
@@ -264,7 +264,35 @@ def test_distorted_streaming_one_marginal_per_distinct_live_set():
         for u, calls in zip(stream, diag["per_element_marginals"]):
             for bank in banks:
                 bank.step(u, inst)
-            assert calls <= len(set().union(*(_offered_sets(b, u) for b in banks)))
+            assert calls == len(set().union(*(_offered_sets(b, u) for b in banks)))
+
+
+def test_copies_holding_equal_sets_hold_one_node():
+    # banks of one grid share a root, as in distorted_streaming, so a set
+    # is one SetNode in whichever bank and copy holds it
+    rng = np.random.default_rng(47)
+    eps, delta = 0.1, 0.2
+    within = across = 0
+    for t in range(10):
+        n = int(rng.integers(10, 30))
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(2, 5)))
+        banks = [rs.ThresholdBank(g.r, inst.k, eps) for g in rs.ratio_grid(eps, delta)]
+        for bank in banks[1:]:
+            bank.root = banks[0].root
+        for u in (int(x) for x in rng.permutation(n)):
+            for bank in banks:
+                bank.step(u, inst)
+            owner = {}
+            for j, bank in enumerate(banks):
+                for node in bank.copies.values():
+                    if node.S not in owner:
+                        owner[node.S] = (node, j)
+                        continue
+                    first, first_bank = owner[node.S]
+                    assert first is node
+                    within += node.S != () and first_bank == j
+                    across += node.S != () and first_bank != j
+    assert within > 0 and across > 0
 
 
 def test_distorted_streaming_spends_nothing_once_every_copy_is_full():
