@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import datasets, modefinding
+from .core import RegularizedInstance
 from .experiments import ALGORITHMS, OBJECTIVES, ExperimentConfig, run_experiment
 
 
@@ -108,6 +109,7 @@ def cmd_validate(args) -> int:
         print("validate: no dataset given", file=sys.stderr)
         return 2
     oracle, cost = OBJECTIVES[cfg.objective](cfg)
+    RegularizedInstance(oracle, cost, 1)  # ValueError unless the costs fit the ground set
     rng = np.random.default_rng(args.seed)
     n = oracle.n
     failures = 0
@@ -154,7 +156,7 @@ def cmd_gen(args) -> int:
         datasets.write_edge_list(
             graph, args.out,
             comment=f"random digraph n={args.n} p={args.p} seed={args.seed}")
-        print(f"wrote {sum(len(o) for o in graph.out)} edges to {args.out}")
+        print(f"wrote {graph.out_csr[1].size} edges to {args.out}")
     else:
         L = modefinding.sample_slc_matrix(args.n, args.mu, args.sigma, args.seed)
         datasets.save_generated_matrix(

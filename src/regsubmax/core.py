@@ -107,6 +107,24 @@ class CountingOracle(SubmodularOracle):
         return self._value_calls + self._marginal_calls
 
 
+def checked_array(x, name: str, shape: str, nonneg: bool) -> np.ndarray:
+    """``x`` as a float array, the one rule for every input array.
+
+    ValueError, with a message that starts with ``name``, unless the array
+    has the ``shape`` ("1-D", "2-D" or "square"), only finite entries and,
+    when ``nonneg``, no negative entry.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != (1 if shape == "1-D" else 2) or (
+            shape == "square" and arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite (got NaN or inf)")
+    if nonneg and np.any(arr < 0):
+        raise ValueError(f"{name} must be non-negative")
+    return arr
+
+
 @dataclass(frozen=True)
 class ModularCost:
     """Non-negative modular cost; ``cost(S)`` sums entries, ``cost[u]`` reads one."""
@@ -114,14 +132,8 @@ class ModularCost:
     costs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.costs, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("cost vector must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("cost vector must be finite")
-        if np.any(arr < 0):
-            raise ValueError("cost vector must be non-negative")
-        object.__setattr__(self, "costs", arr)
+        object.__setattr__(self, "costs", checked_array(
+            self.costs, "cost vector", "1-D", nonneg=True))
 
     def __call__(self, S: ElementSet) -> float:
         idx = list(S)

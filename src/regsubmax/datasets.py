@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .objectives import DirectedGraph
+from .core import checked_array
+from .objectives import DirectedGraph, csr
 
 
 def load_edge_list(path) -> DirectedGraph:
@@ -54,16 +55,13 @@ def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
-    out = tuple(tuple(int(v) for v in np.flatnonzero(mask[u])) for u in range(n))
-    return DirectedGraph(n=n, out=out, original_ids=tuple(range(n)))
+    return DirectedGraph(csr(n, *np.nonzero(mask)), tuple(range(n)))
 
 
 def load_matrix_csv(path, header: bool = False) -> np.ndarray:
     """Dense float matrix from CSV; `header` skips the first line."""
     M = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{path}: matrix entries must be finite")
-    return M
+    return checked_array(M, f"{path}: matrix", "2-D", nonneg=False)
 
 
 def load_feature_matrix(path, header: bool = False) -> np.ndarray:
@@ -72,9 +70,7 @@ def load_feature_matrix(path, header: bool = False) -> np.ndarray:
 
 def load_similarity_matrix(path, header: bool = False) -> np.ndarray:
     M = load_matrix_csv(path, header=header)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{path}: similarity matrix must be square, got {M.shape}")
-    return M
+    return checked_array(M, f"{path}: similarity matrix", "square", nonneg=False)
 
 
 def save_matrix_csv(M: np.ndarray, path) -> None:
@@ -105,11 +101,7 @@ def load_score_table(path) -> list[tuple[int, int, float]]:
 def load_cost_vector(path) -> np.ndarray:
     """One non-negative float per line (or a single CSV column)."""
     arr = np.loadtxt(path, delimiter=",", ndmin=1)
-    if arr.ndim != 1:
-        raise ValueError(f"{path}: expected a single column of costs")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{path}: costs must be finite and non-negative")
-    return arr
+    return checked_array(arr, f"{path}: cost vector", "1-D", nonneg=True)
 
 
 def load_stream_order(path, n: int | None = None) -> list[int]:

@@ -119,8 +119,11 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     The winner is chosen among machine 1's final-round output and all
     solutions from earlier rounds (final-round outputs of other machines are
     deliberately not candidates).  ``pool_out`` collects every produced
-    (round, machine, set) for callers that want to inspect them.
+    (round, machine, set) for callers that want to inspect them.  With
+    ``metrics``, the rounds run through a counting wrapper of their own.
     """
+    if metrics is not None:
+        instance, counter = instance.counted()
     n = instance.n
     rounds = config.rounds
     pool: list[tuple[int, int, tuple[int, ...]]] = []
@@ -128,7 +131,7 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     for rd in range(1, rounds + 1):
         assignment = RoundAssignment.draw(n, config.m, config.seed, rd)
         pooled = np.unique(np.fromiter((u for _, _, s in pool for u in s), dtype=np.intp))
-        calls_before = getattr(instance.oracle, "calls", 0)
+        calls_before = counter.calls if metrics is not None else 0
         round_sets: list[tuple[int, ...]] = []
         shard_sizes: list[int] = []
         for i in range(config.m):
@@ -137,7 +140,7 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
             round_sets.append(tuple(distorted_greedy(instance, np.union1d(shard, pooled))))
         if metrics is not None:
             metrics.append(RoundMetrics(rd, len(pool), len(pooled), shard_sizes,
-                                        getattr(instance.oracle, "calls", 0) - calls_before))
+                                        counter.calls - calls_before))
         if pool_out is not None:
             pool_out.extend((rd, i + 1, s) for i, s in enumerate(round_sets))
         if rd < rounds:

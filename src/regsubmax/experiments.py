@@ -112,10 +112,8 @@ def _build_vertex_cover(cfg: ExperimentConfig):
     graph = datasets.load_edge_list(cfg.dataset)
     oracle = objectives.VertexCoverOracle(graph)
     if cfg.costs:
-        cost = ModularCost(datasets.load_cost_vector(cfg.costs))
-    else:
-        cost = objectives.vertex_cover_cost(graph.out_degrees(), cfg.q)
-    return oracle, cost
+        return oracle, _external_cost(cfg, graph.n)
+    return oracle, objectives.vertex_cover_cost(graph.out_degrees(), cfg.q)
 
 
 def _similarity(cfg: ExperimentConfig) -> np.ndarray:
@@ -126,12 +124,7 @@ def _similarity(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _external_cost(cfg: ExperimentConfig, n: int) -> ModularCost:
-    if cfg.costs:
-        arr = datasets.load_cost_vector(cfg.costs)
-        if arr.shape[0] != n:
-            raise ValueError(f"cost vector length {arr.shape[0]} != ground set {n}")
-        return ModularCost(arr)
-    return ModularCost(np.zeros(n))
+    return ModularCost(datasets.load_cost_vector(cfg.costs) if cfg.costs else np.zeros(n))
 
 
 def _build_facility(cfg: ExperimentConfig):

@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ElementSet, ModularCost, RegularizedInstance, SubmodularOracle
+from .core import (ElementSet, ModularCost, RegularizedInstance, SubmodularOracle,
+                   checked_array)
 
 EXHAUSTIVE_LIMIT = 10
 VIOLATION_TOL = 1e-9  # largest violation ``check_gamma_weak`` forgives
@@ -160,9 +161,7 @@ class SlcInstance:
     d: int
 
     def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValueError("L must be square")
+        L = checked_array(self.L, "L", "square", nonneg=False)
         if not np.allclose(L, L.T, atol=1e-8):
             raise ValueError("L must be symmetric")
         if self.d < 0:

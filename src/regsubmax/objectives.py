@@ -1,9 +1,10 @@
 """Concrete value oracles and cost constructions.
 
-Everything here is desk-scale: dense float64 matrices, and graphs held both
-as sorted out-neighbour tuples and as forward and reverse CSR arrays.  All
-value oracles are normalized so that ``value(()) == 0`` and all are monotone
-and submodular (the property suite in the tests checks each one).
+Everything here is desk-scale: dense float64 matrices, and graphs held as
+forward CSR arrays with the reverse arrays derived from them.  Every input
+array passes ``core.checked_array``.  All value oracles are normalized so
+that ``value(()) == 0`` and all are monotone and submodular (the property
+suite in the tests checks each one).
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ElementSet, ModularCost, SubmodularOracle
+from .core import ElementSet, ModularCost, SubmodularOracle, checked_array
 
 
 class DegenerateMatrixError(ValueError):
     """A matrix that should be positive definite numerically is not."""
 
 
-def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]]."""
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
@@ -38,29 +39,24 @@ def _gather(ptr: np.ndarray, idx: np.ndarray,
     return np.repeat(np.arange(rows.size), lens), idx[pos]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Directed graph on a dense ground set ``{0, .., n-1}``.
 
-    ``out`` holds sorted out-neighbor tuples.  ``original_ids`` maps a dense
-    id back to whatever label the source file used, so results can be
-    reported in the input's vocabulary.  ``out_csr`` and ``in_csr`` are the
-    same edges as forward and reverse CSR arrays (see ``_csr``); they are
-    always derived from ``out`` and take no part in equality.
+    ``out_csr`` is the graph's one stored form: forward CSR arrays (see
+    ``csr``) with the out-neighbours of u, ascending, at
+    ``heads[ptr[u]:ptr[u+1]]``.  ``original_ids`` maps a dense id back to
+    whatever label the source file used, so results can be reported in the
+    input's vocabulary.  ``in_csr``, the same edges reversed, is always
+    derived from ``out_csr``.
     """
 
-    n: int
-    out: tuple[tuple[int, ...], ...]
+    out_csr: tuple[np.ndarray, np.ndarray]
     original_ids: tuple[int, ...]
-    out_csr: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
-    in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+    in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        src = np.repeat(np.arange(self.n), [len(s) for s in self.out])
-        dst = np.fromiter(itertools.chain.from_iterable(self.out), dtype=np.intp,
-                          count=src.size)
-        object.__setattr__(self, "out_csr", _csr(self.n, src, dst))
-        object.__setattr__(self, "in_csr", _csr(self.n, dst, src))
+        object.__setattr__(self, "in_csr", csr(self.n, self.out_csr[1], self.tails()))
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
@@ -73,22 +69,21 @@ class DirectedGraph:
         nodes, dense = np.unique(np.concatenate([a[keep], b[keep]]), return_inverse=True)
         n, m = nodes.size, int(keep.sum())
         pairs = np.unique(dense[:m] * n + dense[m:])
-        ptr, heads = (x.tolist() for x in _csr(n, pairs // n, pairs % n))
-        return cls(
-            n=n,
-            out=tuple(tuple(heads[lo:hi]) for lo, hi in zip(ptr, ptr[1:])),
-            original_ids=tuple(nodes.tolist()),
-        )
+        return cls(csr(n, pairs // n, pairs % n), tuple(nodes.tolist()))
 
     @property
-    def id_map(self) -> dict[int, int]:
-        return {orig: i for i, orig in enumerate(self.original_ids)}
+    def n(self) -> int:
+        return self.out_csr[0].size - 1
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_csr[0])
 
+    def tails(self) -> np.ndarray:
+        """The source of every edge, aligned with the heads of ``out_csr``."""
+        return np.repeat(np.arange(self.n), self.out_degrees())
+
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.out[u]]
+        return list(zip(self.tails().tolist(), self.out_csr[1].tolist()))
 
 
 def vertex_cover_cost(out_degrees: Sequence[int], q: int) -> ModularCost:
@@ -105,19 +100,15 @@ class VertexCoverOracle(SubmodularOracle):
         self.n = graph.n
         if weights is None:
             weights = np.ones(graph.n)
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = checked_array(weights, "node weights", "1-D", nonneg=True)
         if self.weights.shape != (graph.n,):
             raise ValueError("weights length must match node count")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("node weights must be finite (got NaN or inf)")
-        if np.any(self.weights < 0):
-            raise ValueError("node weights must be non-negative")
-        self._cover = tuple(frozenset((u,) + graph.out[u]) for u in range(graph.n))
         ptr, heads = graph.out_csr
-        deg = np.diff(ptr)
-        tails = np.repeat(np.arange(graph.n), deg)
-        self._single = self.weights + np.bincount(tails, self.weights[heads], graph.n)
-        self._cover_size = (deg + 1).astype(np.int32)
+        self._single = self.weights + np.bincount(graph.tails(), self.weights[heads], graph.n)
+        self._cover_size = (graph.out_degrees() + 1).astype(np.int32)
+        ptr, heads = ptr.tolist(), heads.tolist()
+        self._cover = tuple(frozenset([u, *heads[lo:hi]])
+                            for u, (lo, hi) in enumerate(zip(ptr, ptr[1:])))
 
     def value(self, S: ElementSet) -> float:
         members = list(S)
@@ -167,10 +158,7 @@ def similarity_from_features(X: np.ndarray) -> np.ndarray:
     symmetrized to kill float asymmetry from the distance computation.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
+    X = checked_array(X[:, None] if X.ndim == 1 else X, "features", "2-D", nonneg=False)
     sq = (X * X).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.clip(d2, 0.0, None, out=d2)
@@ -181,14 +169,12 @@ def similarity_from_features(X: np.ndarray) -> np.ndarray:
 
 
 class FacilityLocationOracle(SubmodularOracle):
+    """Facility location; similarities are non-negative, or a negative row
+    maximum would put ``value(S)`` below ``value(()) == 0``."""
+
     def __init__(self, M: np.ndarray):
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("similarity matrix must be square")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("similarity matrix must be finite (got NaN or inf)")
-        self.M = M
-        self.n = M.shape[0]
+        self.M = checked_array(M, "similarity matrix", "square", nonneg=True)
+        self.n = self.M.shape[0]
 
     def value(self, S: ElementSet) -> float:
         """Average over rows of the best similarity to a chosen column."""
@@ -209,13 +195,9 @@ class LogDetOracle(SubmodularOracle):
     """Diversity score g(S) = log det(I + alpha * M_S), alpha > 0, M PSD."""
 
     def __init__(self, M: np.ndarray, alpha: float = 1.0):
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("kernel matrix must be square")
+        M = checked_array(M, "kernel matrix", "square", nonneg=False)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("kernel matrix must be finite (got NaN or inf)")
         # The incremental state reads whole rows of M, the Cholesky of
         # ``value`` one triangle; both agree only on a symmetric kernel.
         # Checked in row blocks so no n x n temporary is made.
@@ -307,13 +289,8 @@ class ModularOracle(SubmodularOracle):
     """
 
     def __init__(self, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("modular weights must be finite (got NaN or inf)")
-        if np.any(w < 0):
-            raise ValueError("modular weights must be non-negative")
-        self.weights = w
-        self.n = w.shape[0]
+        self.weights = checked_array(weights, "modular weights", "1-D", nonneg=True)
+        self.n = self.weights.shape[0]
 
     def value(self, S: ElementSet) -> float:
         idx = list(dict.fromkeys(S))

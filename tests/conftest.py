@@ -17,8 +17,7 @@ KINDS = ("vertex-cover", "facility", "logdet", "coverage", "modular")
 def random_digraph_dense(rng, n, p):
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
-    out = tuple(tuple(int(v) for v in np.flatnonzero(mask[u])) for u in range(n))
-    return rs.DirectedGraph(n=n, out=out, original_ids=tuple(range(n)))
+    return rs.DirectedGraph(rs.objectives.csr(n, *np.nonzero(mask)), tuple(range(n)))
 
 
 def make_instance(rng, kind, n, k) -> rs.RegularizedInstance:

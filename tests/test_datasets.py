@@ -13,7 +13,7 @@ def test_load_edge_list_basic(tmp_path):
     g = ds.load_edge_list(p)
     assert g.n == 3
     assert g.original_ids == (1, 2, 3)
-    assert g.out == ((1, 2), (2,), ())
+    assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_load_edge_list_dedupes_and_drops_self_loops(tmp_path):
@@ -22,7 +22,7 @@ def test_load_edge_list_dedupes_and_drops_self_loops(tmp_path):
     g = ds.load_edge_list(p)
     # node 5 only appears in a dropped self-loop, so it is not kept
     assert g.original_ids == (7, 9)
-    assert g.out == ((1,), (0,))
+    assert g.edges() == [(0, 1), (1, 0)]
     assert list(g.out_degrees()) == [1, 1]
 
 
@@ -44,7 +44,7 @@ def test_edge_list_round_trip(tmp_path):
     text = p.read_text()
     assert text.startswith("# generated\n# for a test\n")
     back = ds.load_edge_list(p)
-    assert back.out == g.out
+    assert back.edges() == g.edges()
     assert back.n == g.n
 
 
@@ -52,11 +52,10 @@ def test_random_digraph_deterministic_and_loopless():
     a = ds.random_digraph(40, 0.1, seed=3)
     b = ds.random_digraph(40, 0.1, seed=3)
     c = ds.random_digraph(40, 0.1, seed=4)
-    assert a.out == b.out
-    assert a.out != c.out
+    assert a.edges() == b.edges()
+    assert a.edges() != c.edges()
     assert a.n == 40  # isolated nodes preserved
-    for u in range(40):
-        assert u not in a.out[u]
+    assert all(u != v for u, v in a.edges())
     with pytest.raises(ValueError):
         ds.random_digraph(0, 0.1)
     with pytest.raises(ValueError):

@@ -145,6 +145,21 @@ def test_distributed_pool_grows_and_metrics_recorded():
     assert sol.f_value >= 0.0  # never worse than the empty set
 
 
+def test_round_metrics_count_calls_with_and_without_a_counting_oracle():
+    graph = rs.DirectedGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    inst = rs.RegularizedInstance(rs.VertexCoverOracle(graph),
+                                  rs.vertex_cover_cost(graph.out_degrees(), 1), 2)
+    counted, counter = inst.counted()
+    cfg = rs.DistributedConfig(m=2, eps=0.5)
+    for form in (inst, counted):
+        metrics = []
+        rs.run_distributed(form, cfg, metrics=metrics)
+        assert [m.oracle_calls for m in metrics] == [8, 12]
+    # the caller's counter still sees every call: both rounds, then one
+    # value call per pooled candidate evaluated
+    assert counter.calls == 8 + 12 + 3
+
+
 def test_distributed_winner_at_least_any_earlier_round_set():
     rng = np.random.default_rng(47)
     inst = make_instance(rng, "coverage", 25, 3)

@@ -211,6 +211,20 @@ def test_cli_validate_passes_on_shipped_oracles(digraph_file, capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("objective", ["vertex-cover", "facility-location"])
+def test_cost_file_must_fit_the_ground_set(objective, digraph_file, features_file,
+                                           tmp_path):
+    dataset = digraph_file if objective == "vertex-cover" else features_file
+    costs = tmp_path / "costs.txt"
+    costs.write_text("0.5\n" * 7)
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"costs": str(costs)}))
+    for command in ("run", "validate"):
+        with pytest.raises(ValueError, match="cost vector length"):
+            main([command, "--config", str(cfgf), "--dataset", str(dataset),
+                  "--objective", objective])
+
+
 def test_cli_validate_requires_dataset(capsys):
     rc = main(["validate"])
     assert rc == 2

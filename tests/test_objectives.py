@@ -38,6 +38,12 @@ def test_vertex_cover_marginal_override_matches_default(three_node_cover):
             assert oracle.marginal(u, S) == pytest.approx(expect, abs=1e-12)
 
 
+def test_facility_location_rejects_negative_similarities():
+    # value([0]) would read -0.35, below value(()) == 0.
+    with pytest.raises(ValueError, match="non-negative"):
+        rs.FacilityLocationOracle([[-0.5, -0.2], [-0.2, -0.5]])
+
+
 def test_vertex_cover_rejects_negative_weights(three_node_cover):
     graph, _, _ = three_node_cover
     with pytest.raises(ValueError):
@@ -63,23 +69,24 @@ def test_from_edges_matches_reference_and_csr():
         m = int(rng.integers(0, 3 * n))
         edges = [(int(ids[a]), int(ids[b])) for a, b in rng.integers(0, n, (m, 2))]
         g = rs.DirectedGraph.from_edges(edges)
-        assert (g.n, g.out, g.original_ids) == reference_from_edges(edges)
-        assert all(type(u) is int for row in g.out for u in row)
-        # CSR arrays agree with out; the reverse index is its transpose;
-        # a graph built from out alone derives the same arrays.
+        n, out, ids = reference_from_edges(edges)
+        assert (g.n, g.original_ids) == (n, ids)
+        assert g.edges() == [(u, v) for u in range(n) for v in out[u]]
+        assert all(type(u) is int for e in g.edges() for u in e)
+        # CSR arrays agree with the reference; the reverse index is their
+        # transpose; a graph built from the forward arrays alone derives
+        # the same reverse arrays.
         ptr, idx = g.out_csr
-        assert [tuple(idx[ptr[u]:ptr[u + 1]]) for u in range(g.n)] == list(g.out)
+        assert [tuple(idx[ptr[u]:ptr[u + 1]]) for u in range(n)] == list(out)
         rptr, ridx = g.in_csr
-        ins = [tuple(v for v in range(g.n) if u in g.out[v]) for u in range(g.n)]
-        assert [tuple(ridx[rptr[u]:rptr[u + 1]]) for u in range(g.n)] == ins
-        bare = rs.DirectedGraph(g.n, g.out, g.original_ids)
-        assert bare == g
+        ins = [tuple(v for v in range(n) if u in out[v]) for u in range(n)]
+        assert [tuple(ridx[rptr[u]:rptr[u + 1]]) for u in range(n)] == ins
+        bare = rs.DirectedGraph(g.out_csr, g.original_ids)
         for a, b in zip(bare.out_csr + bare.in_csr, g.out_csr + g.in_csr):
             assert a.tolist() == b.tolist()
-        assert g.out_degrees().tolist() == [len(s) for s in g.out]
-    # A copy with other edges derives its own arrays, not the original's.
-    flipped = dataclasses.replace(g, out=tuple(tuple(v for v in range(g.n) if u in g.out[v])
-                                               for u in range(g.n)))
+        assert g.out_degrees().tolist() == [len(s) for s in out]
+    # A copy with other edges derives its own reverse arrays, not the original's.
+    flipped = dataclasses.replace(g, out_csr=g.in_csr)
     assert flipped.out_csr[1].tolist() == g.in_csr[1].tolist()
     assert flipped.in_csr[1].tolist() == g.out_csr[1].tolist()
 
@@ -88,8 +95,7 @@ def test_directed_graph_id_compaction():
     graph = rs.DirectedGraph.from_edges([(10, 20), (20, 10), (10, 10), (10, 20)])
     assert graph.n == 2
     assert graph.original_ids == (10, 20)
-    assert graph.id_map == {10: 0, 20: 1}
-    assert graph.out == ((1,), (0,))  # self-loop and duplicate dropped
+    assert graph.edges() == [(0, 1), (1, 0)]  # self-loop and duplicate dropped
 
 
 def test_similarity_from_features_examples():
