@@ -11,9 +11,8 @@ enough to enumerate).
 import argparse
 import math
 
-from regsubmax import (RegularizedInstance, SlcInstance, SurrogateOracle,
-                       brute_force_opt, check_gamma_weak, distorted_greedy,
-                       sample_slc_matrix)
+from regsubmax import (SlcInstance, brute_force_opt, check_gamma_weak,
+                       distorted_greedy, sample_slc_matrix, surrogate_instance)
 from regsubmax.baselines import BRUTE_FORCE_LIMIT
 from regsubmax.datasets import load_similarity_matrix
 
@@ -46,9 +45,7 @@ def main():
         gamma = max(0.0, worst)
         print(f"measured weakness gamma = {gamma:.6g}")
 
-    weak = slc.weak_instance(gamma)
-    oracle = SurrogateOracle(weak)
-    instance = RegularizedInstance(oracle, oracle.cost, args.k)
+    instance = surrogate_instance(slc.weak_instance(gamma), args.k)
 
     picked = distorted_greedy(instance)
     print(f"distorted greedy picked {tuple(picked)}")

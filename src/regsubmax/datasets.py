@@ -78,7 +78,7 @@ def save_matrix_csv(M: np.ndarray, path) -> None:
 
 
 def load_score_table(path) -> list[tuple[int, int, float]]:
-    """word_id,element_id,value triples; negative values are rejected here."""
+    """word_id,element_id,value triples; negative or non-finite values are rejected."""
     triples = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -92,8 +92,8 @@ def load_score_table(path) -> list[tuple[int, int, float]]:
                 w, e, v = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed triple {line!r}") from exc
-            if v < 0:
-                raise ValueError(f"{path}:{lineno}: negative score {v}")
+            if not np.isfinite(v) or v < 0:
+                raise ValueError(f"{path}:{lineno}: score {v} must be finite and non-negative")
             triples.append((w, e, v))
     return triples
 

@@ -97,6 +97,8 @@ class ExperimentConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; "
                              f"known: {sorted(OBJECTIVES)}")
+        if not self.algos:
+            raise ValueError("need at least one algorithm")
         for a in self.algos:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; known: {sorted(ALGORITHMS)}")

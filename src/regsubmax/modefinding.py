@@ -10,7 +10,9 @@ adding per-element costs derived from its shape at the full ground set then
 yields a monotone submodular part, so the whole streaming/greedy toolbox
 applies.  Log-densities of strongly log-concave distributions are the
 motivating example: maximizing the density (mode finding) becomes a
-regularized submodular problem.
+regularized submodular problem.  For an ``SlcInstance`` density the derived
+costs come from one inverse of L, and the surrogate's greedy state grows a
+Cholesky of L by one row per pick.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .core import (ElementSet, ModularCost, RegularizedInstance, SubmodularOracle,
                    checked_array)
+from .objectives import grow_cholesky
 
 EXHAUSTIVE_LIMIT = 10
 VIOLATION_TOL = 1e-9  # largest violation ``check_gamma_weak`` forgives
@@ -54,27 +57,37 @@ def lambda_value(inst: WeakSubmodularInstance, S: ElementSet) -> float:
     return inst.rho_of(members) - 0.5 * inst.gamma * s * (s - 1)
 
 
+def _slc_kernel(inst: WeakSubmodularInstance) -> np.ndarray | None:
+    """L if rho is a bound ``SlcInstance.log_density``: the closed forms' switch."""
+    slc = getattr(inst.rho, "__self__", None)
+    return slc.L if (isinstance(slc, SlcInstance) and slc.n == inst.n and
+                     inst.rho.__func__ is SlcInstance.log_density) else None
+
+
 def derived_cost(inst: WeakSubmodularInstance) -> ModularCost:
     """Per-element costs making the corrected function's monotone completion.
 
     cost(u) = max(corrected(N - u) - corrected(N), 0)
             = max(rho(N - u) - rho(N) + gamma * (n - 1), 0).
 
-    Needs rho finite at the full set and all its n leave-one-out sets.
+    Needs rho finite at the full set and all its n leave-one-out sets.  For
+    an ``SlcInstance`` density one inverse gives all n, since rho(N - u) -
+    rho(N) = 1/2 log (L^-1)_uu (the adjugate identity).
     """
     full = tuple(range(inst.n))
     lam_full = lambda_value(inst, full)
     if not math.isfinite(lam_full):
         raise ValueError("rho must be finite at the full ground set; "
                          "support-capped densities do not reduce")
-    costs = np.empty(inst.n)
-    for u in range(inst.n):
-        rest = tuple(v for v in full if v != u)
-        lam_rest = lambda_value(inst, rest)
-        if not math.isfinite(lam_rest):
+    L = _slc_kernel(inst)
+    if L is not None:
+        loo = 0.5 * np.log(np.diag(np.linalg.inv(L))) + inst.gamma * (inst.n - 1)
+    else:
+        loo = np.array([lambda_value(inst, full[:u] + full[u + 1:])
+                        for u in range(inst.n)]) - lam_full
+        if not np.all(np.isfinite(loo)):
             raise ValueError("rho must be finite at every leave-one-out set")
-        costs[u] = max(lam_rest - lam_full, 0.0)
-    return ModularCost(costs)
+    return ModularCost(np.maximum(loo, 0.0))
 
 
 class SurrogateOracle(SubmodularOracle):
@@ -83,6 +96,8 @@ class SurrogateOracle(SubmodularOracle):
     If rho(()) < 0 the whole function is shifted up by -rho(()) so g stays
     non-negative; the shift is recorded in ``offset`` and cancels out of all
     argmax comparisons, so reported rho values stay un-shifted.
+    For an ``SlcInstance`` density the greedy state is ``grow_cholesky``'s
+    over L, and marginal(u, S) = 1/2 log d2[u] - gamma * |S| + cost(u).
     """
 
     def __init__(self, inst: WeakSubmodularInstance):
@@ -93,10 +108,28 @@ class SurrogateOracle(SubmodularOracle):
         if not math.isfinite(empty):
             raise ValueError("rho must be finite at the empty set")
         self.offset = -empty if empty < 0 else 0.0
+        self._L = _slc_kernel(inst)
 
     def value(self, S: ElementSet) -> float:
         members = tuple(sorted(set(S)))
         return lambda_value(self.inst, members) + self.offset + self.cost(members)
+
+    def empty(self):
+        return super().empty() if self._L is None else (self._L.diagonal().copy(), [], [])
+
+    def gains(self, st, cands: np.ndarray) -> np.ndarray:
+        if self._L is None:
+            return super().gains(st, cands)
+        # -inf where L_{S+u} is not PD; the cap never binds (finite rho(N): d >= n)
+        d, S = st[0][cands], st[2]
+        g = 0.5 * np.log(d, out=np.full(d.shape, -np.inf), where=d > 0.0)
+        g += self.cost.costs[cands] - self.inst.gamma * len(S)
+        return np.where(np.isin(cands, S), 0.0, g)
+
+    def add(self, st, u: int) -> None:
+        if self._L is None:
+            return super().add(st, u)
+        grow_cholesky(st, self._L[u].copy(), u)
 
 
 def surrogate_instance(inst: WeakSubmodularInstance, k: int) -> RegularizedInstance:

@@ -191,6 +191,21 @@ class FacilityLocationOracle(SubmodularOracle):
         return float(np.maximum(self.M[:, u] - cur, 0.0).mean())
 
 
+def grow_cholesky(st, row: np.ndarray, u: int) -> None:
+    """Grow the row-by-row Cholesky ``st = (d2, rows, S)`` of a PD kernel A by
+    u (Chen, Zhang & Zhou, NeurIPS 2018): ``row``, a fresh copy of A[u], joins
+    the factor, and d2[v] becomes v's Schur complement given S + u."""
+    d2, rows, S = st
+    if u in S:
+        return
+    for r in rows:
+        row -= r[u] * r
+    row /= math.sqrt(d2[u])
+    d2 -= row * row
+    rows.append(row)
+    S.append(u)
+
+
 class LogDetOracle(SubmodularOracle):
     """Diversity score g(S) = log det(I + alpha * M_S), alpha > 0, M PSD."""
 
@@ -222,10 +237,8 @@ class LogDetOracle(SubmodularOracle):
         return float(2.0 * np.log(np.diag(L)).sum())
 
     def empty(self):
-        """(d2, rows, S): the Cholesky factor of A_S = I + alpha * M_S grown
-        one row at a time over all n columns (rows), and d2[u] the Schur
-        complement of u given S, so marginal(u, S) = log d2[u].  Members
-        hold d2 = 1, a zero gain."""
+        """``grow_cholesky`` state of A = I + alpha * M, so marginal(u, S) =
+        log d2[u].  Members hold d2 = 1, a zero gain."""
         return 1.0 + self.alpha * np.diag(self.M), [], []
 
     def gains(self, st, cands: np.ndarray) -> np.ndarray:
@@ -238,18 +251,10 @@ class LogDetOracle(SubmodularOracle):
         return np.log(d)
 
     def add(self, st, u: int) -> None:
-        d2, rows, S = st
-        if u in S:
-            return
-        e = self.alpha * self.M[u]
-        e[u] += 1.0
-        for r in rows:
-            e -= r[u] * r
-        e /= math.sqrt(d2[u])
-        d2 -= e * e
-        rows.append(e)
-        S.append(u)
-        d2[S] = 1.0
+        row = self.alpha * self.M[u]
+        row[u] += 1.0
+        grow_cholesky(st, row, u)
+        st[0][st[2]] = 1.0
 
 
 class SaturatingCoverageOracle(SubmodularOracle):

@@ -46,9 +46,24 @@ def make_instance(rng, kind, n, k) -> rs.RegularizedInstance:
     elif kind == "modular":
         oracle = rs.ModularOracle(rng.uniform(0, 2, n))
         cost = rs.ModularCost(rng.uniform(0.0, 0.9, n))
+    elif kind in ("surrogate", "weak-surrogate"):
+        # mode-finding surrogate of an SlcInstance density, at gamma 0 or > 0
+        slc = rs.SlcInstance(rs.sample_slc_matrix(n, seed=int(rng.integers(2**31))), n)
+        gamma = 0.0 if kind == "surrogate" else float(rng.uniform(0.05, 0.5))
+        return rs.surrogate_instance(slc.weak_instance(gamma), k)
     else:
         raise ValueError(kind)
     return rs.RegularizedInstance(oracle, cost, k)
+
+
+class ValueOnly(rs.SubmodularOracle):
+    """Forwards ``value`` alone, so every other method is the base fallback."""
+
+    def __init__(self, inner):
+        self.inner, self.n = inner, inner.n
+
+    def value(self, S):
+        return self.inner.value(S)
 
 
 def value_table(valuefn, n) -> dict[frozenset, float]:

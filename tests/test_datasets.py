@@ -121,6 +121,16 @@ def test_load_score_table_rejects_negative_with_lineno(tmp_path):
         ds.load_score_table(p2)
 
 
+def test_load_score_table_rejects_non_finite_with_lineno(tmp_path):
+    p = tmp_path / "scores.csv"
+    p.write_text("0,1,1.5\n0,0,nan\n")
+    with pytest.raises(ValueError, match=r"scores\.csv:2: score nan"):
+        ds.load_score_table(p)
+    p.write_text("0,1,1.5\n0,0,inf\n")
+    with pytest.raises(ValueError, match=r"scores\.csv:2: score inf"):
+        ds.load_score_table(p)
+
+
 def test_load_cost_vector(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("0.5\n0.0\n1.25\n")

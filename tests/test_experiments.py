@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,18 @@ def test_cli_run_with_config_and_flag_override(digraph_file, tmp_path, capsys):
 def test_cli_run_unknown_algo_fails_fast(digraph_file):
     with pytest.raises(ValueError, match="unknown algorithm"):
         main(["run", "--dataset", str(digraph_file), "--algo", "magic"])
+
+
+def test_cli_run_rejects_an_empty_algorithm_list(digraph_file, tmp_path):
+    out = tmp_path / "empty.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "regsubmax", "run", "--dataset", str(digraph_file),
+         "--algo", ",", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "need at least one algorithm" in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_validate_passes_on_shipped_oracles(digraph_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import regsubmax as rs
 from regsubmax.modefinding import EXHAUSTIVE_LIMIT
-from conftest import (random_weak_instance, value_table,
+from conftest import (ValueOnly, random_weak_instance, value_table,
                       worst_monotonicity_violation,
                       worst_submodularity_violation)
 
@@ -75,6 +75,41 @@ def test_derived_cost_requires_finite_full_set():
     inst = table_instance(vals, 0.0, 2)
     with pytest.raises(ValueError):
         rs.derived_cost(inst)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_derived_cost_closed_form_matches_leave_one_out_loop(gamma):
+    for t in range(10):
+        n = 2 + t
+        slc = rs.SlcInstance(rs.sample_slc_matrix(n, mu=-1.0, seed=400 + t), n)
+        # any rho but a bound SlcInstance.log_density takes the loop
+        loop = rs.WeakSubmodularInstance(lambda S: slc.log_density(S), gamma, n)
+        closed = rs.derived_cost(slc.weak_instance(gamma)).costs
+        assert np.any(closed > 0.0)
+        assert np.allclose(closed, rs.derived_cost(loop).costs, rtol=0.0, atol=1e-9)
+
+
+def test_derived_cost_closed_form_rejects_capped_and_singular_kernels():
+    L = rs.sample_slc_matrix(4, seed=5)
+    for slc in (rs.SlcInstance(L, 3), rs.SlcInstance(np.ones((3, 3)), 3)):
+        for gamma in (0.0, 0.2):
+            with pytest.raises(ValueError, match="finite at the full ground set"):
+                rs.derived_cost(slc.weak_instance(gamma))
+
+
+def test_surrogate_state_selects_as_the_fallback():
+    # distorted greedy over the Cholesky state picks the set that
+    # per-candidate value differences pick
+    rng = np.random.default_rng(89)
+    for t in range(30):
+        n = int(rng.integers(2, 16))
+        k = int(rng.integers(1, n + 1))
+        gamma = 0.0 if t % 2 else float(rng.uniform(0.0, 0.3))
+        slc = rs.SlcInstance(rs.sample_slc_matrix(n, seed=500 + t), n)
+        reg = rs.surrogate_instance(slc.weak_instance(gamma), k)
+        assert len(reg.oracle.empty()) == 3  # the Cholesky state, not a plain list
+        hidden = rs.RegularizedInstance(ValueOnly(reg.oracle), reg.cost, k)
+        assert rs.distorted_greedy(reg) == rs.distorted_greedy(hidden)
 
 
 def test_surrogate_oracle_examples():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsubmax as rs
-from conftest import (KINDS, make_instance, value_table,
+from conftest import (KINDS, ValueOnly, make_instance, value_table,
                       worst_monotonicity_violation,
                       worst_submodularity_violation)
 
@@ -228,18 +228,9 @@ def test_reservoir_facility_estimate():
         rs.reservoir_facility_estimate(empty, lambda i: M[i], [0])
 
 
-class ValueOnly(rs.SubmodularOracle):
-    """Forwards ``value`` alone, so every other method is the base fallback."""
-
-    def __init__(self, inner):
-        self.inner, self.n = inner, inner.n
-
-    def value(self, S):
-        return self.inner.value(S)
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(("vertex-cover", "facility", "logdet", "coverage", "modular")),
+@given(st.sampled_from(("vertex-cover", "facility", "logdet", "coverage", "modular",
+                        "surrogate", "weak-surrogate")),
        st.booleans(), st.integers(0, 2**32 - 1), st.integers(2, 9),
        st.lists(st.integers(0, 8), max_size=8))
 def test_set_state_gains_match_value_differences(kind, fallback, seed, n, adds):
