@@ -26,10 +26,10 @@ from .objectives import (DegenerateMatrixError, DirectedGraph,
                          ReservoirEstimator, SaturatingCoverageOracle,
                          VertexCoverOracle, reservoir_facility_estimate,
                          similarity_from_features, vertex_cover_cost)
-from .streaming import (RatioGuess, ThresholdBank, ThresholdState,
-                        approx_factor, beta_for_ratio, cost_multiplier,
-                        distorted_streaming, r_for_beta, ratio_for_beta,
-                        ratio_grid, threshold_index_range, threshold_streaming)
+from .streaming import (RatioGuess, ThresholdBank, approx_factor,
+                        beta_for_ratio, cost_multiplier, distorted_streaming,
+                        r_for_beta, ratio_for_beta, ratio_grid,
+                        threshold_index_range, threshold_streaming)
 
 __all__ = [
     "BRUTE_FORCE_LIMIT", "BenchmarkTarget", "CountingOracle",
@@ -38,8 +38,8 @@ __all__ = [
     "LogDetOracle", "ModularCost", "ModularOracle", "RatioGuess",
     "RegularizedInstance", "ReservoirEstimator", "RoundAssignment",
     "RoundMetrics", "SaturatingCoverageOracle", "SlcInstance", "Solution",
-    "SubmodularOracle", "SurrogateOracle", "ThresholdBank", "ThresholdState",
-    "VertexCoverOracle", "WeakSubmodularInstance",
+    "SubmodularOracle", "SurrogateOracle", "ThresholdBank", "VertexCoverOracle",
+    "WeakSubmodularInstance",
     "approx_factor", "best_solution", "beta_for_ratio", "brute_force_distorted",
     "brute_force_opt", "brute_force_tau", "check_gamma_weak", "cost_multiplier",
     "derived_cost", "distorted_greedy", "distorted_streaming", "lambda_value",

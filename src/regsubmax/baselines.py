@@ -59,11 +59,6 @@ def sieve_streaming(stream, instance: RegularizedInstance, eps: float) -> Soluti
     return SieveLadder(instance.k, eps).run(stream, instance, "sieve")
 
 
-def _feasible_subsets(n: int, k: int):
-    for size in range(k + 1):
-        yield from combinations(range(n), size)
-
-
 @dataclass(frozen=True)
 class BenchmarkTarget:
     """Weighted benchmark a*g(T) - b*ell(T) maximized over |T| <= k."""
@@ -91,10 +86,11 @@ def brute_force_distorted(instance: RegularizedInstance,
                          f"{BRUTE_FORCE_LIMIT}")
     best_set: tuple[int, ...] = ()
     best_val = target.a * instance.oracle.value(()) - target.b * instance.cost(())
-    for cand in _feasible_subsets(n, target.k):
-        v = target.a * instance.oracle.value(cand) - target.b * instance.cost(cand)
-        if v > best_val or (v == best_val and cand < best_set):
-            best_set, best_val = cand, v
+    for size in range(1, target.k + 1):
+        for cand in combinations(range(n), size):
+            v = target.a * instance.oracle.value(cand) - target.b * instance.cost(cand)
+            if v > best_val or (v == best_val and cand < best_set):
+                best_set, best_val = cand, v
     return best_set, best_val
 
 

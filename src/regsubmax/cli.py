@@ -106,8 +106,7 @@ def cmd_validate(args) -> int:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     cfg = cfg.override(dataset=args.dataset, objective=args.objective)
     if not cfg.dataset:
-        print("validate: no dataset given", file=sys.stderr)
-        return 2
+        raise ValueError("validate: no dataset given")
     oracle, cost = OBJECTIVES[cfg.objective](cfg)
     RegularizedInstance(oracle, cost, 1)  # ValueError unless the costs fit the ground set
     rng = np.random.default_rng(args.seed)
@@ -168,13 +167,14 @@ def cmd_gen(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "validate":
-        return cmd_validate(args)
-    return cmd_gen(args)
+    """Run one subcommand; bad input prints one error line and returns 2."""
+    args = build_parser().parse_args(argv)
+    command = {"run": cmd_run, "validate": cmd_validate, "gen": cmd_gen}[args.command]
+    try:
+        return command(args)
+    except (ValueError, OSError) as exc:
+        print(f"regsubmax: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

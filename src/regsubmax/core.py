@@ -111,17 +111,23 @@ def checked_array(x, name: str, shape: str, nonneg: bool) -> np.ndarray:
     """``x`` as a float array, the one rule for every input array.
 
     ValueError, with a message that starts with ``name``, unless the array
-    has the ``shape`` ("1-D", "2-D" or "square"), only finite entries and,
-    when ``nonneg``, no negative entry.
+    has the ``shape`` ("1-D", "2-D", "square" or "symmetric": square and
+    ``allclose`` to its transpose), only finite entries and, when
+    ``nonneg``, no negative entry.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != (1 if shape == "1-D" else 2) or (
-            shape == "square" and arr.shape[0] != arr.shape[1]):
+            shape in ("square", "symmetric") and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite (got NaN or inf)")
     if nonneg and np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")
+    # In row blocks, so no n x n temporary is made.
+    if shape == "symmetric" and not all(
+            np.allclose(arr[lo:lo + 256], arr[:, lo:lo + 256].T)
+            for lo in range(0, arr.shape[0], 256)):
+        raise ValueError(f"{name} must be symmetric")
     return arr
 
 

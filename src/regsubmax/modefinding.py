@@ -194,9 +194,7 @@ class SlcInstance:
     d: int
 
     def __post_init__(self):
-        L = checked_array(self.L, "L", "square", nonneg=False)
-        if not np.allclose(L, L.T, atol=1e-8):
-            raise ValueError("L must be symmetric")
+        L = checked_array(self.L, "L", "symmetric", nonneg=False)
         if self.d < 0:
             raise ValueError("support cap must be >= 0")
         if np.linalg.eigvalsh(L).min() < -1e-9:

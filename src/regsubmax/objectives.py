@@ -210,15 +210,11 @@ class LogDetOracle(SubmodularOracle):
     """Diversity score g(S) = log det(I + alpha * M_S), alpha > 0, M PSD."""
 
     def __init__(self, M: np.ndarray, alpha: float = 1.0):
-        M = checked_array(M, "kernel matrix", "square", nonneg=False)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
         # The incremental state reads whole rows of M, the Cholesky of
         # ``value`` one triangle; both agree only on a symmetric kernel.
-        # Checked in row blocks so no n x n temporary is made.
-        for lo in range(0, M.shape[0], 256):
-            if not np.allclose(M[lo:lo + 256], M[:, lo:lo + 256].T):
-                raise ValueError("kernel matrix must be symmetric")
+        M = checked_array(M, "kernel matrix", "symmetric", nonneg=False)
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
         self.M = M
         self.alpha = float(alpha)
         self.n = M.shape[0]

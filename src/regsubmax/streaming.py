@@ -1,14 +1,14 @@
 """One-pass threshold streaming for submodular-minus-modular maximization.
 
-The basic accept rule compares an element's submodular marginal against its
+The one accept rule compares an element's submodular marginal against its
 modular cost scaled by a multiplier, and admits it when the surplus clears a
-fixed threshold.  Picking the threshold needs knowledge of the optimum, so
-:class:`ThresholdBank` maintains a geometric ladder of threshold guesses
-anchored to the best singleton score seen so far, creating guesses lazily as
-the anchor grows and retiring guesses that fall below the useful window.
-On top of that, :func:`distorted_streaming` sweeps a small grid of target
-quality ratios, each mapping to a trade-off parameter ``r``, and keeps the
-best output across the grid.
+threshold.  :class:`ThresholdBank` applies it to a geometric ladder of
+threshold guesses anchored to the best singleton score seen so far,
+creating guesses lazily as the anchor grows and retiring guesses that fall
+below the useful window.  A known threshold is a bank with one copy
+(:func:`threshold_streaming`).  On top of that, :func:`distorted_streaming`
+sweeps a small grid of target quality ratios, each mapping to a trade-off
+parameter ``r``, and keeps the best output across the grid.
 
 Everything here is single-pass over the element stream, and a stream names
 each element at most once.  Sets therefore grow in stream order, and a set
@@ -76,50 +76,6 @@ def geometric_index_range(lo: float, hi: float, base: float) -> range:
                  _snap(math.log(hi) / lb, math.floor) + 1)
 
 
-@dataclass(slots=True)
-class ThresholdState:
-    """One fixed-threshold run at trade-off r, as one object.
-
-    It accepts u while it holds fewer than k elements and marginal(u, S) -
-    multiplier * cost(u) >= tau, with multiplier = cost_multiplier(r).
-    """
-
-    r: float
-    tau: float
-    k: int
-    S: list[int] = field(default_factory=list)
-    multiplier: float = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("budget k must be >= 1")
-        self.multiplier = cost_multiplier(self.r)
-
-    def offer(self, u: int, instance: RegularizedInstance) -> bool:
-        """Accept/reject one stream element.  Full runs reject for free."""
-        S = self.S
-        if (len(S) < self.k and instance.oracle.marginal(u, S)
-                - self.multiplier * instance.cost[u] >= self.tau):
-            S.append(u)
-            return True
-        return False
-
-    def finish(self, instance: RegularizedInstance,
-               provenance: str = "threshold") -> Solution:
-        """Better of the collected set and the empty set."""
-        return best_solution([Solution.evaluate(instance, self.S, provenance),
-                              Solution.evaluate(instance, (), provenance + "[empty]")])
-
-
-def threshold_streaming(stream, instance: RegularizedInstance, r: float,
-                        tau: float) -> Solution:
-    """Single pass with a known threshold tau at trade-off r."""
-    state = ThresholdState(r, tau, instance.k)
-    for u in stream_ids(stream, instance.n):
-        state.offer(u, instance)
-    return state.finish(instance, f"threshold-streaming[r={r:.6g},tau={tau:.6g}]")
-
-
 def threshold_index_range(best_single: float, k: int, r: float,
                           eps: float) -> range:
     """Exponent window for useful threshold guesses given the running anchor.
@@ -172,10 +128,11 @@ class ThresholdBank:
     per group, and one bisection for the prefix of exponents whose
     threshold the surplus clears: those copies move to the node's child.
 
-    This is the one lazy ladder of the package.  A variant overrides
-    ``window`` (the exponents worth keeping for the current anchor) and
-    ``threshold`` (the surplus copy i needs at a node), which must not
-    decrease with i.
+    This is the one accept rule of the package: the CLI's threshold
+    ladder, fixed-threshold streaming, sieve and distorted streaming all
+    run on it.  A variant overrides ``window`` (the exponents worth keeping
+    for the current anchor) and ``threshold`` (the surplus copy i needs at a
+    node), which must not decrease with i.
     """
 
     def __init__(self, r: float, k: int, eps: float):
@@ -267,7 +224,7 @@ class ThresholdBank:
         """
         below = ()
         for i in sorted(self.copies):
-            S = tuple(self.copies[i].S)
+            S = self.copies[i].S
             if S != below:
                 yield Solution.evaluate(instance, S, f"{label}[i={i}]")
             below = S
@@ -278,6 +235,37 @@ class ThresholdBank:
         return best_solution(chain(
             [Solution.evaluate(instance, (), f"{label}[empty]")],
             self.candidates(instance, label)))
+
+
+class FixedThreshold(ThresholdBank):
+    """One copy at the known threshold tau, open from the first element.
+
+    Stepped with ``singleton_value=0.0`` the anchor stays non-positive, so
+    the window never moves and no singleton is evaluated.
+    """
+
+    def __init__(self, r: float, k: int, tau: float):
+        super().__init__(r, k, 1.0)
+        self.tau = tau
+        self.copies = {0: self.root}
+        self.groups = {self.root: [0]}
+
+    def threshold(self, i: int, node: SetNode) -> float:
+        return self.tau
+
+
+def threshold_streaming(stream, instance: RegularizedInstance, r: float,
+                        tau: float) -> Solution:
+    """Single pass with a known threshold tau at trade-off r.
+
+    The collected set wins a tie with the empty set.
+    """
+    bank = FixedThreshold(r, instance.k, tau)
+    for u in stream_ids(stream, instance.n):
+        bank.step(u, instance, 0.0)
+    label = f"threshold-streaming[r={r:.6g},tau={tau:.6g}]"
+    return best_solution(chain(bank.candidates(instance, label),
+                               [Solution.evaluate(instance, (), f"{label}[empty]")]))
 
 
 def beta_for_ratio(ratio: float) -> float:

@@ -118,23 +118,42 @@ def random_weak_instance(rng, n) -> rs.WeakSubmodularInstance:
     return rs.WeakSubmodularInstance(lambda S: table[frozenset(S)], gamma, n)
 
 
+def threshold_offer(S, u, instance, multiplier, tau) -> None:
+    """The fixed-threshold accept rule: append u to S if S has room and
+    marginal(u, S) - multiplier * cost(u) clears tau."""
+    if (len(S) < instance.k
+            and instance.oracle.marginal(u, S) - multiplier * instance.cost[u] >= tau):
+        S.append(u)
+
+
+def threshold_reference(stream, instance, r, tau) -> rs.Solution:
+    """Fixed-threshold streaming as its own loop; the collected set wins a tie."""
+    multiplier = rs.cost_multiplier(r)
+    S: list[int] = []
+    for u in stream:
+        threshold_offer(S, u, instance, multiplier, tau)
+    sol = rs.Solution.evaluate(instance, S, "reference")
+    empty = rs.Solution.evaluate(instance, (), "reference[empty]")
+    return empty if empty.f_value > sol.f_value else sol
+
+
 def eager_threshold_reference(stream, instance, r, eps) -> rs.Solution:
     """Two-pass reference: final guess window instantiated from the start."""
     factor = rs.approx_factor(r)
+    multiplier = rs.cost_multiplier(r)
     best = -math.inf
     for u in stream:
         score = factor * instance.oracle.value((u,)) - r * instance.cost[u]
         if score > 0 and score > best:
             best = score
     window = rs.threshold_index_range(best, instance.k, r, eps)
-    states = {i: rs.ThresholdState(r, (1.0 + eps) ** i, instance.k)
-              for i in window}
+    sets: dict[int, list[int]] = {i: [] for i in window}
     for u in stream:
-        for i in sorted(states):
-            states[i].offer(u, instance)
+        for i in sorted(sets):
+            threshold_offer(sets[i], u, instance, multiplier, (1.0 + eps) ** i)
     sol = rs.Solution.evaluate(instance, (), "eager[empty]")
-    for i in sorted(states):
-        cand = rs.Solution.evaluate(instance, states[i].S, f"eager[i={i}]")
+    for i in sorted(sets):
+        cand = rs.Solution.evaluate(instance, sets[i], f"eager[i={i}]")
         if cand.f_value > sol.f_value:
             sol = cand
     return sol
@@ -189,8 +208,9 @@ def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
     grid = rs.ratio_grid(eps, delta)
     k = instance.k
     factors = [rs.approx_factor(g.r) for g in grid]
+    multipliers = [rs.cost_multiplier(g.r) for g in grid]
     best_single = [-math.inf] * len(grid)
-    banks: list[dict[int, rs.ThresholdState]] = [{} for _ in grid]
+    banks: list[dict[int, list[int]]] = [{} for _ in grid]
     for u in stream:
         singleton = instance.oracle.value((u,))
         for j, (g, copies) in enumerate(zip(grid, banks)):
@@ -202,16 +222,16 @@ def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
                 del copies[i]
             for i in window:
                 if i not in copies:
-                    copies[i] = rs.ThresholdState(g.r, (1.0 + eps) ** i, k)
+                    copies[i] = []
             for i in sorted(copies):
-                copies[i].offer(u, instance)
+                threshold_offer(copies[i], u, instance, multipliers[j], (1.0 + eps) ** i)
 
     best = rs.Solution.evaluate(instance, (), "distorted-streaming[empty]")
     for g, copies in zip(grid, banks):
         label = f"distorted-streaming[ratio={g.ratio:.6g}]"
         bank_best = rs.Solution.evaluate(instance, (), f"{label}[empty]")
         for i in sorted(copies):
-            sol = rs.Solution.evaluate(instance, copies[i].S, f"{label}[i={i}]")
+            sol = rs.Solution.evaluate(instance, copies[i], f"{label}[i={i}]")
             if sol.f_value > bank_best.f_value:
                 bank_best = sol
         if bank_best.f_value > best.f_value:

@@ -110,10 +110,12 @@ def test_brute_force_three_node(three_node_cover):
 
 def test_brute_force_respects_budget():
     oracle = rs.ModularOracle([1.0, 1.0, 1.0])
-    inst = rs.RegularizedInstance(oracle, rs.ModularCost(np.zeros(3)), 2)
+    inst, counter = rs.RegularizedInstance(oracle, rs.ModularCost(np.zeros(3)), 2).counted()
     s, v = rs.brute_force_opt(inst)
     assert s == (0, 1)
     assert v == pytest.approx(2.0)
+    # one value call per subset of size <= 2, the empty set included once
+    assert counter.value_calls == 1 + 3 + 3
 
 
 def test_brute_force_tie_is_lexicographically_smallest():

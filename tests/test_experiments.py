@@ -202,9 +202,21 @@ def test_cli_run_with_config_and_flag_override(digraph_file, tmp_path, capsys):
     assert sorted(r.k for r in parsed) == [3, 4]  # flag beat the file
 
 
-def test_cli_run_unknown_algo_fails_fast(digraph_file):
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        main(["run", "--dataset", str(digraph_file), "--algo", "magic"])
+def test_cli_run_unknown_algo_fails_fast(digraph_file, capsys):
+    rc = main(["run", "--dataset", str(digraph_file), "--algo", "magic"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regsubmax: error: ") and "unknown algorithm" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_run_reports_a_missing_dataset_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    rc = main(["run", "--dataset", str(missing), "--algo", "greedy"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regsubmax: error: ") and str(missing) in err
+    assert err.count("\n") == 1
 
 
 def test_cli_run_rejects_an_empty_algorithm_list(digraph_file, tmp_path):
@@ -214,8 +226,9 @@ def test_cli_run_rejects_an_empty_algorithm_list(digraph_file, tmp_path):
         [sys.executable, "-m", "regsubmax", "run", "--dataset", str(digraph_file),
          "--algo", ",", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "need at least one algorithm" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -229,21 +242,24 @@ def test_cli_validate_passes_on_shipped_oracles(digraph_file, capsys):
 
 @pytest.mark.parametrize("objective", ["vertex-cover", "facility-location"])
 def test_cost_file_must_fit_the_ground_set(objective, digraph_file, features_file,
-                                           tmp_path):
+                                           tmp_path, capsys):
     dataset = digraph_file if objective == "vertex-cover" else features_file
     costs = tmp_path / "costs.txt"
     costs.write_text("0.5\n" * 7)
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({"costs": str(costs)}))
     for command in ("run", "validate"):
-        with pytest.raises(ValueError, match="cost vector length"):
-            main([command, "--config", str(cfgf), "--dataset", str(dataset),
-                  "--objective", objective])
+        rc = main([command, "--config", str(cfgf), "--dataset", str(dataset),
+                   "--objective", objective])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("regsubmax: error: ") and "cost vector length" in err
 
 
 def test_cli_validate_requires_dataset(capsys):
     rc = main(["validate"])
     assert rc == 2
+    assert capsys.readouterr().err == "regsubmax: error: validate: no dataset given\n"
 
 
 def test_cli_gen_digraph_round_trips(tmp_path, capsys):

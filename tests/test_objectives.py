@@ -255,11 +255,15 @@ def test_set_state_gains_match_value_differences(kind, fallback, seed, n, adds):
 
 
 def test_logdet_rejects_asymmetric_kernel():
+    # both kernels pass one symmetry rule, checked in row blocks of 256
     M = np.eye(300)
     M[0, 299] = 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        rs.LogDetOracle(M)
-    rs.LogDetOracle(M + M.T)
+    for make in (rs.LogDetOracle, lambda K: rs.SlcInstance(K, 3)):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            make(M)
+        make(M + M.T)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        rs.SlcInstance(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
 
 @pytest.mark.parametrize("make", [

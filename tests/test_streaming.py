@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsubmax as rs
-from regsubmax.streaming import geometric_index_range
+from regsubmax.streaming import FixedThreshold, SetNode, geometric_index_range
 from conftest import (eager_threshold_reference, ladder_reference, make_instance,
-                      KINDS)
+                      threshold_reference, KINDS)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -60,45 +60,40 @@ def test_surplus_identity():
 
 
 def test_threshold_state_derived_multiplier():
-    state = rs.ThresholdState(1.0, 0.3, 2)
-    assert state.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
-    assert state.S == [] and len(state.S) < state.k
+    bank = FixedThreshold(1.0, 2, 0.3)
+    assert bank.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
+    # one copy, open at the empty root from the first element
+    assert bank.copies == {0: bank.root} and bank.groups == {bank.root: [0]}
+    assert bank.root.S == ()
     with pytest.raises(ValueError):
-        rs.ThresholdState(1.0, 0.3, 0)
+        FixedThreshold(1.0, 0, 0.3)
 
 
 def test_threshold_accept_boundary(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
     # marginal 3 minus multiplier(1)*1 = 0.381966...; tau inclusive at >=
-    state = rs.ThresholdState(1.0, 0.3, 2)
-    assert state.offer(0, inst) is True
-    assert state.S == [0]
-    tight = rs.ThresholdState(1.0, 0.5, 2)
-    assert tight.offer(0, inst) is False
-    exact = rs.ThresholdState(1.0, 3.0 - GOLDEN ** 2, 2)
-    assert exact.offer(0, inst) is True  # ties accept
+    assert rs.threshold_streaming([0], inst, 1.0, 0.3).elements == (0,)
+    assert rs.threshold_streaming([0], inst, 1.0, 0.5).elements == ()
+    exact = rs.threshold_streaming([0], inst, 1.0, 3.0 - GOLDEN ** 2)
+    assert exact.elements == (0,)  # ties accept
 
 
 def test_threshold_budget_kills_state(three_node_cover):
     _, oracle, cost = three_node_cover
-    inst = rs.RegularizedInstance(oracle, cost, 1)
-    counter = rs.CountingOracle(oracle)
-    counted = rs.RegularizedInstance(counter, cost, 1)
-    state = rs.ThresholdState(1.0, 0.3, 1)
-    assert state.offer(0, counted)
-    assert len(state.S) == state.k
-    before = counter.calls
-    assert state.offer(1, counted) is False
-    assert counter.calls == before  # dead state spends nothing
-    del inst
+    counted, counter = rs.RegularizedInstance(oracle, cost, 1).counted()
+    sol = rs.threshold_streaming([0, 1, 2], counted, 1.0, 0.3)
+    assert sol.elements == (0,)
+    assert counter.marginal_calls == 1  # the full copy is offered nothing
 
 
 def test_threshold_finish_prefers_empty_on_negative_f():
     oracle = rs.ModularOracle([0.5])
     inst = rs.RegularizedInstance(oracle, rs.ModularCost(np.array([1.0])), 1)
-    state = rs.ThresholdState(1.0, 0.1, 1, S=[0])
-    sol = state.finish(inst)
+    bank = FixedThreshold(1.0, 1, -10.0)
+    bank.step(0, inst, 0.0)
+    assert bank.copies[0].S == (0,)  # collected, at f = -0.5
+    sol = rs.threshold_streaming([0], inst, 1.0, -10.0)
     assert sol.elements == ()
     assert sol.f_value == 0.0
 
@@ -109,6 +104,30 @@ def test_threshold_streaming_run(three_node_cover):
     sol = rs.threshold_streaming([0, 1, 2], inst, 1.0, 0.3)
     assert sol.elements == (0,)
     assert sol.f_value == pytest.approx(2.0)
+    assert sol.provenance == "threshold-streaming[r=1,tau=0.3][i=0]"
+
+
+def test_threshold_streaming_matches_reference_loop():
+    rng = np.random.default_rng(53)
+    cases = []
+    for t in range(60):
+        n = int(rng.integers(4, 20))
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(1, 5)))
+        r = float(rng.choice([0.25, 1.0, 4.0]))
+        tau = [float(rng.uniform(0.0, 0.6)), 0.0, -float(rng.uniform(0.0, 2.0))][t % 3]
+        cases.append((inst, [int(x) for x in rng.permutation(n)], r, tau))
+    # both accepted at surplus 1 - multiplier(1) >= -2, and f({0, 1}) = 0 =
+    # f({}): the collected set wins the tie
+    cases.append((rs.RegularizedInstance(rs.ModularOracle([1.0, 1.0]),
+                                         rs.ModularCost(np.ones(2)), 2), [0, 1], 1.0, -2.0))
+    for inst, stream, r, tau in cases:
+        got_inst, got = inst.counted()
+        ref_inst, ref = inst.counted()
+        sol = rs.threshold_streaming(stream, got_inst, r, tau)
+        want = threshold_reference(stream, ref_inst, r, tau)
+        assert (sol.elements, sol.f_value) == (want.elements, want.f_value)
+        assert got.marginal_calls == ref.marginal_calls
+        assert got.value_calls <= ref.value_calls
 
 
 def test_threshold_collected_surplus_invariant():
@@ -118,11 +137,12 @@ def test_threshold_collected_surplus_invariant():
         inst = make_instance(rng, KINDS[t % 5], 8, 3)
         r = float(rng.choice([0.25, 1.0, 4.0]))
         tau = float(rng.uniform(0.01, 0.5))
-        state = rs.ThresholdState(r, tau, inst.k)
+        bank = FixedThreshold(r, inst.k, tau)
         for u in range(8):
-            state.offer(u, inst)
-        lhs = inst.oracle.value(state.S) - rs.cost_multiplier(r) * inst.cost(state.S)
-        assert lhs >= len(state.S) * tau - 1e-9
+            bank.step(u, inst, 0.0)
+        S = bank.copies[0].S
+        lhs = inst.oracle.value(S) - rs.cost_multiplier(r) * inst.cost(S)
+        assert lhs >= len(S) * tau - 1e-9
 
 
 def test_geometric_index_range_basics():
@@ -144,9 +164,12 @@ def test_threshold_index_range_examples():
 
 def test_threshold_bank_rejects_non_positive_r():
     # r = 0 would open an empty ladder window and return the empty set
+    inst = rs.RegularizedInstance(rs.ModularOracle([1.0]), rs.ModularCost(np.zeros(1)), 1)
     for r in (0.0, -1.0):
         with pytest.raises(ValueError):
             rs.ThresholdBank(r, 3, 0.1)
+        with pytest.raises(ValueError, match="trade-off r"):
+            rs.threshold_streaming([0], inst, r, 0.1)
 
 
 def test_bank_ignores_nonpositive_scores(three_node_cover):
@@ -216,7 +239,7 @@ def test_bank_finish_keeps_lowest_exponent_among_equal_sets():
         rs.ModularOracle([3.0, 1.0]), rs.ModularCost(np.zeros(2)), 2).counted()
     bank = rs.ThresholdBank(1.0, 2, 0.5)
     for i, S in ((2, [0]), (-1, []), (1, [0]), (0, [1])):
-        bank.copies[i] = rs.ThresholdState(1.0, 1.5 ** i, 2, S=S)
+        bank.copies[i] = SetNode(tuple(S), 0.0)
     sol = bank.finish(inst)
     assert (sol.elements, sol.provenance) == ((0,), "threshold-bank[i=1]")
     # the empty set, [1] and [0]: copy -1 repeats the empty set, 2 repeats 1
