@@ -5,14 +5,15 @@ CSV, ``validate`` spot-checks that a dataset's oracle behaves like a
 normalized monotone submodular function, and ``gen`` produces synthetic
 datasets (seeded, with their parameters recorded for replay).
 
-Flag values override config-file values; the config file is a flat JSON
-object whose keys mirror ExperimentConfig fields.
+``run`` and ``validate`` read a flat JSON config file whose keys are the
+ExperimentConfig fields; a flag whose ``dest`` names a field overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,8 +22,11 @@ from .core import RegularizedInstance
 from .experiments import ALGORITHMS, OBJECTIVES, ExperimentConfig, run_experiment
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x != "")
+def _comma_list(item: type):
+    def parse(text: str) -> tuple:
+        return tuple(item(x) for x in text.split(",") if x)
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -41,13 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment grid, write CSV")
     _add_common_flags(run_p)
-    run_p.add_argument("--algo", help="comma-separated algorithm ids "
-                                      f"(known: {', '.join(sorted(ALGORITHMS))})")
-    run_p.add_argument("--k", help="comma-separated budgets")
+    run_p.add_argument("--algo", dest="algos", type=_comma_list(str),
+                       help="comma-separated algorithm ids "
+                            f"(known: {', '.join(sorted(ALGORITHMS))})")
+    run_p.add_argument("--k", dest="ks", type=_comma_list(int),
+                       help="comma-separated budgets")
     run_p.add_argument("--eps", type=float)
     run_p.add_argument("--delta", type=float)
     run_p.add_argument("--machines", type=int)
-    run_p.add_argument("--seed", help="comma-separated seeds")
+    run_p.add_argument("--seed", dest="seeds", type=_comma_list(int),
+                       help="comma-separated seeds")
     run_p.add_argument("--stream-order", dest="stream_order",
                        help="natural | shuffled | file:PATH")
     run_p.add_argument("--out", help="result CSV path")
@@ -74,20 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's values, overridden by every given field flag, checked."""
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    return cfg.override(
-        dataset=args.dataset,
-        objective=args.objective,
-        algos=None if args.algo is None else tuple(
-            a for a in args.algo.split(",") if a),
-        ks=None if args.k is None else _int_list(args.k),
-        eps=args.eps,
-        delta=args.delta,
-        machines=args.machines,
-        seeds=None if args.seed is None else _int_list(args.seed),
-        stream_order=args.stream_order,
-        out=args.out,
-    )
+    cfg = cfg.override(**{f.name: getattr(args, f.name, None)
+                          for f in fields(ExperimentConfig)})
+    cfg.validate()
+    return cfg
 
 
 def cmd_run(args) -> int:
@@ -103,26 +102,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    cfg = cfg.override(dataset=args.dataset, objective=args.objective)
-    if not cfg.dataset:
-        raise ValueError("validate: no dataset given")
+    cfg = _config_from_args(args)
     oracle, cost = OBJECTIVES[cfg.objective](cfg)
     RegularizedInstance(oracle, cost, 1)  # ValueError unless the costs fit the ground set
     rng = np.random.default_rng(args.seed)
     n = oracle.n
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        tag = "PASS" if ok else "FAIL"
-        print(f"[{tag}] {name}" + (f" ({detail})" if detail else ""))
-
-    report("value(empty) == 0", abs(oracle.value(())) == 0.0)
-    report("costs non-negative", bool(np.all(cost.costs >= 0)))
-
     worst_mono = 0.0
     worst_sub = 0.0
     worst_marg = 0.0
@@ -140,13 +124,18 @@ def cmd_validate(args) -> int:
         worst_mono = max(worst_mono, base - with_u)
         worst_sub = max(worst_sub, base + with_uv - with_u - with_v)
         worst_marg = max(worst_marg, abs(oracle.marginal(u, S) - (with_u - base)))
-    report("monotone on sampled chains", worst_mono <= 1e-9,
-           f"worst violation {worst_mono:.3g}")
-    report("submodular on sampled triples", worst_sub <= 1e-9,
-           f"worst violation {worst_sub:.3g}")
-    report("marginal consistent with value", worst_marg <= 1e-9,
-           f"worst gap {worst_marg:.3g}")
-    return 1 if failures else 0
+    checks = [
+        ("value(empty) == 0", abs(oracle.value(())) == 0.0, ""),
+        ("costs non-negative", bool(np.all(cost.costs >= 0)), ""),
+        ("monotone on sampled chains", worst_mono <= 1e-9,
+         f"worst violation {worst_mono:.3g}"),
+        ("submodular on sampled triples", worst_sub <= 1e-9,
+         f"worst violation {worst_sub:.3g}"),
+        ("marginal consistent with value", worst_marg <= 1e-9,
+         f"worst gap {worst_marg:.3g}")]
+    for name, ok, detail in checks:
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def cmd_gen(args) -> int:

@@ -9,7 +9,6 @@ only through oracle evaluations, which makes call counting meaningful.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -61,25 +60,21 @@ class CountingOracle(SubmodularOracle):
 
     One increment per ``value()`` or ``marginal()`` invocation on this
     wrapper; whatever the inner oracle does internally is not the caller's
-    work and is not counted.  Increments are lock-protected so concurrent
-    workers sharing a counter stay consistent.
+    work and is not counted.
     """
 
     def __init__(self, inner: SubmodularOracle):
         self.inner = inner
         self.n = inner.n
-        self._lock = threading.Lock()
-        self._value_calls = 0
-        self._marginal_calls = 0
+        self.value_calls = 0
+        self.marginal_calls = 0
 
     def value(self, S: ElementSet) -> float:
-        with self._lock:
-            self._value_calls += 1
+        self.value_calls += 1
         return self.inner.value(S)
 
     def marginal(self, u: int, S: ElementSet) -> float:
-        with self._lock:
-            self._marginal_calls += 1
+        self.marginal_calls += 1
         return self.inner.marginal(u, S)
 
     def empty(self):
@@ -87,24 +82,15 @@ class CountingOracle(SubmodularOracle):
 
     def gains(self, st, cands: np.ndarray) -> np.ndarray:
         """Counts one marginal call per candidate scored."""
-        with self._lock:
-            self._marginal_calls += len(cands)
+        self.marginal_calls += len(cands)
         return self.inner.gains(st, cands)
 
     def add(self, st, u: int) -> None:
         self.inner.add(st, u)
 
     @property
-    def value_calls(self) -> int:
-        return self._value_calls
-
-    @property
-    def marginal_calls(self) -> int:
-        return self._marginal_calls
-
-    @property
     def calls(self) -> int:
-        return self._value_calls + self._marginal_calls
+        return self.value_calls + self.marginal_calls
 
 
 def checked_array(x, name: str, shape: str, nonneg: bool) -> np.ndarray:

@@ -11,7 +11,7 @@ independent of any execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,8 +91,8 @@ class RoundMetrics:
     round_index: int
     pool_sets: int
     pool_elements: int
-    shard_sizes: list[int] = field(default_factory=list)
-    oracle_calls: int = 0
+    shard_sizes: list[int]
+    oracle_calls: int
 
 
 def distorted_greedy(instance: RegularizedInstance,
@@ -127,27 +127,21 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     n = instance.n
     rounds = config.rounds
     pool: list[tuple[int, int, tuple[int, ...]]] = []
-    last_round_first: tuple[int, ...] = ()
     for rd in range(1, rounds + 1):
         assignment = RoundAssignment.draw(n, config.m, config.seed, rd)
         pooled = np.unique(np.fromiter((u for _, _, s in pool for u in s), dtype=np.intp))
         calls_before = counter.calls if metrics is not None else 0
-        round_sets: list[tuple[int, ...]] = []
         shard_sizes: list[int] = []
         for i in range(config.m):
             shard = assignment.shard(i)
             shard_sizes.append(len(shard))
-            round_sets.append(tuple(distorted_greedy(instance, np.union1d(shard, pooled))))
+            S = distorted_greedy(instance, np.union1d(shard, pooled))
+            pool.append((rd, i + 1, tuple(S)))
         if metrics is not None:
-            metrics.append(RoundMetrics(rd, len(pool), len(pooled), shard_sizes,
+            metrics.append(RoundMetrics(rd, len(pool) - config.m, len(pooled), shard_sizes,
                                         counter.calls - calls_before))
-        if pool_out is not None:
-            pool_out.extend((rd, i + 1, s) for i, s in enumerate(round_sets))
-        if rd < rounds:
-            pool.extend((rd, i + 1, s) for i, s in enumerate(round_sets))
-        else:
-            last_round_first = round_sets[0]
-
+    if pool_out is not None:
+        pool_out.extend(pool)
     return best_solution(
         [Solution.evaluate(instance, s, f"distributed[round={rd},machine={i}]")
-         for rd, i, s in pool + [(rounds, 1, last_round_first)]])
+         for rd, i, s in pool if rd < rounds or i == 1])

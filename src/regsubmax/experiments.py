@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 import tempfile
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,9 +49,24 @@ class ResultRow:
 RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
-@dataclass
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the type a config field's annotation names."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):  # X | None
+        return any(_fits(value, h) for h in get_args(hint))
+    kind = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
+    return isinstance(value, kind) and (hint is bool or not isinstance(value, bool))
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat run description; every key can come from a config file or a flag."""
+    """Flat run description; every key can come from a config file or a flag.
+
+    Construction checks every value against its field's annotation: integers
+    and reals by ``numbers`` kind (numpy scalars fit), ``bool`` only where a
+    field asks for it, tuples item by item.
+    """
 
     dataset: str = ""
     objective: str = "vertex-cover"
@@ -69,6 +85,13 @@ class ExperimentConfig:
     costs: str | None = None
     header: bool = False
 
+    def __post_init__(self):
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, hints[f.name]):
+                raise ValueError(f"config {f.name!r} must be {f.type}, got {value!r}")
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
@@ -79,12 +102,8 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        cfg = cls()
-        for key, val in raw.items():
-            if key in ("algos", "ks", "seeds"):
-                val = tuple(val)
-            setattr(cfg, key, val)
-        return cfg
+        return cls(**{key: tuple(val) if isinstance(val, list) else val
+                      for key, val in raw.items()})
 
     def override(self, **updates) -> "ExperimentConfig":
         """CLI flags win over file values; None updates are ignored."""
@@ -92,6 +111,7 @@ class ExperimentConfig:
         return replace(self, **real)
 
     def validate(self) -> None:
+        """Check the values a run needs; the types were checked on construction."""
         if not self.dataset:
             raise ValueError("no dataset given")
         if self.objective not in OBJECTIVES:

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -53,22 +51,6 @@ def test_counting_oracle_counts_each_surface():
     assert counter.value_calls == 2
     assert counter.marginal_calls == 1
     assert counter.calls == 3
-
-
-def test_counting_oracle_concurrent_increments():
-    counter = rs.CountingOracle(rs.ModularOracle(np.ones(4)))
-
-    def worker():
-        for _ in range(500):
-            counter.value((0,))
-            counter.marginal(1, (0,))
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert counter.calls == 4 * 1000
 
 
 def test_counting_does_not_charge_inner_work():

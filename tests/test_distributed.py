@@ -99,6 +99,8 @@ def test_config_round_count():
         rs.DistributedConfig(m=0, eps=0.5)
     with pytest.raises(ValueError):
         rs.DistributedConfig(m=2, eps=0.0)
+    with pytest.raises(ValueError, match="machine count"):
+        rs.RoundAssignment.draw(5, 0, 0, 1)
 
 
 def test_single_machine_single_round_matches_serial():

@@ -12,6 +12,8 @@ from regsubmax.cli import main
 from regsubmax.experiments import (ALGORITHMS, OBJECTIVES, RESULT_FIELDS,
                                    ExperimentConfig, emit_results,
                                    parse_results, run_experiment)
+from regsubmax.modefinding import sample_slc_matrix
+from regsubmax.objectives import similarity_from_features
 
 
 @pytest.fixture()
@@ -55,6 +57,23 @@ def test_config_rejects_unknown_keys(tmp_path):
     p.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError, match="flat JSON"):
         ExperimentConfig.from_file(p)
+
+
+@pytest.mark.parametrize("raw", [{"ks": "3"}, {"eps": "0.2"}, {"algos": "greedy"},
+                                 {"header": "yes"}, {"out": 3}, {"seeds": [True]},
+                                 {"machines": 2.5}], ids=lambda raw: next(iter(raw)))
+def test_config_file_values_are_type_checked(raw, tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    (key,) = raw
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        ExperimentConfig.from_file(p)
+
+
+def test_run_experiment_accepts_numpy_integers(digraph_file):
+    rows, _ = run_experiment(base_config(digraph_file, ks=(np.int64(3),),
+                                         seeds=(np.int64(0),), machines=np.int64(2)))
+    assert [(r.k, r.seed) for r in rows] == [(3, 0)]
 
 
 def test_override_ignores_none_and_wins_otherwise():
@@ -170,14 +189,46 @@ def test_stream_order_changes_streaming_cells(digraph_file):
     assert len(rows_s) == 2  # shuffled runs still produce one row per seed
 
 
-def test_facility_objective_runs(features_file):
-    cfg = base_config(features_file, objective="facility-location",
-                      algos=("greedy", "brute-force"), ks=(2,), seeds=(0,))
+def objective_dataset(form, tmp_path, features_file):
+    """A small dataset in one of the forms the objectives read."""
+    if form == "features":
+        return features_file
+    path = tmp_path / ("points.sim.csv" if form == "similarity" else f"{form}.csv")
+    if form == "edges":
+        ds.write_edge_list(ds.random_digraph(12, 0.25, seed=2), path)
+    elif form == "similarity":
+        X = ds.load_feature_matrix(features_file)
+        ds.save_matrix_csv(similarity_from_features(X), path)
+    elif form == "kernel":
+        ds.save_matrix_csv(sample_slc_matrix(7, seed=11), path)
+    elif form == "scores":
+        rng = np.random.default_rng(3)
+        path.write_text("".join(f"{w},{e},{rng.uniform(0.1, 2.0):.6g}\n"
+                                for w in range(3) for e in range(10)))
+    else:  # a score table with no triples
+        path.write_text("# word,element,value\n")
+    return path
+
+
+@pytest.mark.parametrize("objective, form", [
+    ("vertex-cover", "edges"), ("facility-location", "features"),
+    ("log-det", "features"), ("log-det", "similarity"),
+    ("saturating-coverage", "scores"), ("saturating-coverage", "no-scores"),
+    ("slc-mode", "kernel")])
+def test_facility_objective_runs(objective, form, tmp_path, features_file):
+    cfg = base_config(objective_dataset(form, tmp_path, features_file),
+                      objective=objective, algos=("greedy", "brute-force"), ks=(2,),
+                      seeds=(0,))
+    if form == "no-scores":
+        with pytest.raises(ValueError, match="empty score table"):
+            run_experiment(cfg)
+        return
     rows, _ = run_experiment(cfg)
     brute = next(r for r in rows if r.algorithm == "brute-force")
     greedy = next(r for r in rows if r.algorithm == "greedy")
     assert brute.f_value >= greedy.f_value - 1e-9
-    assert 0.0 <= brute.f_value <= 1.0  # similarity scores live in [0, 1]
+    if objective == "facility-location":
+        assert 0.0 <= brute.f_value <= 1.0  # similarity scores live in [0, 1]
 
 
 def test_cli_run_prints_rows(digraph_file, capsys):
@@ -208,6 +259,30 @@ def test_cli_run_unknown_algo_fails_fast(digraph_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("regsubmax: error: ") and "unknown algorithm" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    ("validate", {"objective": "nope"}, "unknown objective 'nope'"),
+    ("validate", {"algos": ["nope"]}, "unknown algorithm 'nope'"),
+    ("run", {"ks": "3"}, "'ks' must be tuple[int, ...], got '3'")],
+    ids=["validate-objective", "validate-algos", "run-ks"])
+def test_cli_config_file_errors_print_one_line(command, raw, message, digraph_file,
+                                               tmp_path, capsys):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps(raw))
+    rc = main([command, "--config", str(cfgf), "--dataset", str(digraph_file)]
+              + (["--algo", "greedy"] if command == "run" else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regsubmax: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_malformed_list_flag_is_a_usage_error(digraph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--dataset", str(digraph_file), "--k", "3,x"])
+    assert exc.value.code == 2
+    assert "argument --k: invalid comma-separated int value: '3,x'" in capsys.readouterr().err
 
 
 def test_cli_run_reports_a_missing_dataset_file(tmp_path, capsys):
@@ -259,7 +334,7 @@ def test_cost_file_must_fit_the_ground_set(objective, digraph_file, features_fil
 def test_cli_validate_requires_dataset(capsys):
     rc = main(["validate"])
     assert rc == 2
-    assert capsys.readouterr().err == "regsubmax: error: validate: no dataset given\n"
+    assert capsys.readouterr().err == "regsubmax: error: no dataset given\n"
 
 
 def test_cli_gen_digraph_round_trips(tmp_path, capsys):

@@ -110,6 +110,11 @@ def test_surrogate_state_selects_as_the_fallback():
         assert len(reg.oracle.empty()) == 3  # the Cholesky state, not a plain list
         hidden = rs.RegularizedInstance(ValueOnly(reg.oracle), reg.cost, k)
         assert rs.distorted_greedy(reg) == rs.distorted_greedy(hidden)
+        # the same density as an arbitrary rho callable takes the fallback
+        arbitrary = rs.surrogate_instance(
+            rs.WeakSubmodularInstance(lambda S: slc.log_density(S), gamma, n), k)
+        assert isinstance(arbitrary.oracle.empty(), list)
+        assert rs.distorted_greedy(arbitrary) == rs.distorted_greedy(reg)
 
 
 def test_surrogate_oracle_examples():

@@ -170,6 +170,9 @@ def test_threshold_bank_rejects_non_positive_r():
             rs.ThresholdBank(r, 3, 0.1)
         with pytest.raises(ValueError, match="trade-off r"):
             rs.threshold_streaming([0], inst, r, 0.1)
+    for eps in (0.0, -0.5):
+        with pytest.raises(ValueError, match="eps"):
+            rs.ThresholdBank(1.0, 3, eps)
 
 
 def test_bank_ignores_nonpositive_scores(three_node_cover):
