@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import RegularizedInstance, Solution, greedy
+from .core import RegularizedInstance, Solution, checked_scalar, greedy
 from .streaming import SetNode, ThresholdBank, approx_factor, geometric_index_range
 
 BRUTE_FORCE_LIMIT = 20
@@ -68,8 +68,7 @@ class BenchmarkTarget:
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("budget must be >= 0")
+        checked_scalar(self.k, "budget k", int, "[0, inf)")
 
 
 def brute_force_distorted(instance: RegularizedInstance,
@@ -108,10 +107,8 @@ def brute_force_tau(instance: RegularizedInstance, r: float, eps: float,
     and v.  Any c in [1/(1+eps), 1] keeps k*tau <= v <= (1+eps)*k*tau; the
     default is the low end.
     """
-    if c is None:
-        c = 1.0 / (1.0 + eps)
-    if not 1.0 / (1.0 + eps) - 1e-12 <= c <= 1.0 + 1e-12:
-        raise ValueError("c must lie in [1/(1+eps), 1]")
+    low = 1.0 / (1.0 + checked_scalar(eps, "eps", float, "[0, inf)"))
+    c = low if c is None else checked_scalar(c, "c", float, f"[{low - 1e-12!r}, {1 + 1e-12!r}]")
     factor = approx_factor(r)
     T, _ = brute_force_distorted(instance,
                                  BenchmarkTarget(factor - eps, r, instance.k))

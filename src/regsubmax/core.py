@@ -9,6 +9,9 @@ only through oracle evaluations, which makes call counting meaningful.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -117,6 +120,35 @@ def checked_array(x, name: str, shape: str, nonneg: bool) -> np.ndarray:
     return arr
 
 
+def of_kind(x, kind: type) -> bool:
+    """Whether ``x`` is a ``kind``: ``int`` and ``float`` by ``numbers`` kind
+    (numpy scalars fit), and a ``bool`` only where ``kind`` is ``bool``."""
+    return (isinstance(x, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+            and (kind is bool or not isinstance(x, bool)))
+
+
+@functools.lru_cache(maxsize=64)  # a stream checks thousands of scalars
+def _interval(text: str) -> tuple[float, float, bool, bool]:
+    """(lo, hi, lo closed, hi closed) of ``"(0, 0.5]"``-style text; an
+    endpoint at infinity is open, so NaN and +-inf never lie inside."""
+    lo, hi = (float(s) for s in text[1:-1].split(","))
+    return lo, hi, text[0] == "[" and lo > -math.inf, text[-1] == "]" and hi < math.inf
+
+
+def checked_scalar(x, name: str, kind: type, interval: str):
+    """``x`` unchanged, the one rule for every scalar parameter.
+
+    ValueError, with a message that starts with ``name``, unless ``x`` is of
+    ``kind`` (``int`` or ``float``, see :func:`of_kind`) and lies in
+    ``interval``, written as in mathematics: ``"(0, 0.5]"``, ``"[1, inf)"``.
+    """
+    lo, hi, lo_in, hi_in = _interval(interval)
+    if ((type(x) is kind or of_kind(x, kind)) and (lo <= x if lo_in else lo < x)
+            and (x <= hi if hi_in else x < hi)):
+        return x
+    raise ValueError(f"{name} must be a finite {kind.__name__} in {interval}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ModularCost:
     """Non-negative modular cost; ``cost(S)`` sums entries, ``cost[u]`` reads one."""
@@ -149,8 +181,7 @@ class RegularizedInstance:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("budget k must be >= 1")
+        checked_scalar(self.k, "budget k", int, "[1, inf)")
         if len(self.cost) != self.oracle.n:
             raise ValueError("cost vector length must match the ground set")
 

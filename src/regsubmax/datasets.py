@@ -10,29 +10,34 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .core import checked_array
+from .core import checked_array, checked_scalar
 from .objectives import DirectedGraph, csr
+
+
+def _data_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line but blanks and '#' comments."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield lineno, line
 
 
 def load_edge_list(path) -> DirectedGraph:
     """Parse a directed edge list; dedupes, drops self-loops, compacts ids."""
     edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
-            edges.append((a, b))
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
     return DirectedGraph.from_edges(edges)
 
 
@@ -48,10 +53,8 @@ def write_edge_list(graph: DirectedGraph, path, comment: str = "") -> None:
 
 def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
     """G(n, p) style digraph without self-loops; isolated nodes are kept."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
+    checked_scalar(n, "n", int, "[1, inf)")
+    checked_scalar(p, "edge probability p", float, "[0, 1]")
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
@@ -80,21 +83,17 @@ def save_matrix_csv(M: np.ndarray, path) -> None:
 def load_score_table(path) -> list[tuple[int, int, float]]:
     """word_id,element_id,value triples; negative or non-finite values are rejected."""
     triples = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'word,element,value'")
-            try:
-                w, e, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed triple {line!r}") from exc
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{path}:{lineno}: score {v} must be finite and non-negative")
-            triples.append((w, e, v))
+    for lineno, line in _data_lines(path):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'word,element,value'")
+        try:
+            w, e, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed triple {line!r}") from exc
+        if not np.isfinite(v) or v < 0:
+            raise ValueError(f"{path}:{lineno}: score {v} must be finite and non-negative")
+        triples.append((w, e, v))
     return triples
 
 
@@ -107,15 +106,11 @@ def load_cost_vector(path) -> np.ndarray:
 def load_stream_order(path, n: int | None = None) -> list[int]:
     """Newline-delimited element ids for replaying a fixed stream order."""
     order = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                order.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer id {line!r}") from exc
+    for lineno, line in _data_lines(path):
+        try:
+            order.append(int(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer id {line!r}") from exc
     if len(set(order)) != len(order):
         raise ValueError(f"{path}: duplicate ids in stream order")
     if n is not None:

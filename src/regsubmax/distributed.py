@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RegularizedInstance, Solution, best_solution, greedy
+from .core import RegularizedInstance, Solution, best_solution, checked_scalar, greedy
 
 _M64 = (1 << 64) - 1
 
@@ -50,8 +50,7 @@ class RoundAssignment:
     @classmethod
     def draw(cls, n: int, m: int, seed: int, round_index: int) -> "RoundAssignment":
         """``machine_of`` for elements 0..n-1 at once, in wrapping uint64."""
-        if m < 1:
-            raise ValueError("machine count must be >= 1")
+        checked_scalar(m, "machine count", int, "[1, inf)")
         x = np.arange(n, dtype=np.uint64)
         x += np.uint64(0x8CB92BA72F3D8DD7)
         x ^= np.uint64(_round_key(seed, round_index))
@@ -74,10 +73,8 @@ class DistributedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("machine count must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        checked_scalar(self.m, "machine count", int, "[1, inf)")
+        checked_scalar(self.eps, "eps", float, "(0, inf)")
 
     @property
     def rounds(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import os
 import tempfile
 import time
@@ -21,7 +20,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import baselines, datasets, distributed, modefinding, objectives, streaming
-from .core import CountingOracle, ModularCost, RegularizedInstance, Solution
+from .core import (CountingOracle, ModularCost, RegularizedInstance, Solution,
+                   checked_scalar, of_kind)
 
 ROUND_FIELDS = ("dataset", "algorithm", "k", "eps", "m", "seed", "round",
                 "pool_sets", "pool_elements", "shard_sizes", "oracle_calls")
@@ -55,8 +55,7 @@ def _fits(value, hint) -> bool:
         return isinstance(value, tuple) and all(_fits(v, get_args(hint)[0]) for v in value)
     if get_args(hint):  # X | None
         return any(_fits(value, h) for h in get_args(hint))
-    kind = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
-    return isinstance(value, kind) and (hint is bool or not isinstance(value, bool))
+    return of_kind(value, hint)
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,13 @@ class ExperimentConfig:
         for a in self.algos:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; known: {sorted(ALGORITHMS)}")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ValueError("need at least one budget k >= 1")
+        if not self.ks:
+            raise ValueError("need at least one budget k")
+        for k in self.ks:
+            checked_scalar(k, "budget k", int, "[1, inf)")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.machines < 1:
-            raise ValueError("machine count must be >= 1")
+        checked_scalar(self.machines, "machine count", int, "[1, inf)")
 
 
 def _build_vertex_cover(cfg: ExperimentConfig):

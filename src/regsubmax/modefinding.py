@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (ElementSet, ModularCost, RegularizedInstance, SubmodularOracle,
-                   checked_array)
+                   checked_array, checked_scalar)
 from .objectives import grow_cholesky
 
 EXHAUSTIVE_LIMIT = 10
@@ -41,10 +41,8 @@ class WeakSubmodularInstance:
     n: int
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.n < 1:
-            raise ValueError("ground set must be non-empty")
+        checked_scalar(self.gamma, "gamma", float, "[0, inf)")
+        checked_scalar(self.n, "ground set size n", int, "[1, inf)")
 
     def rho_of(self, S: ElementSet) -> float:
         return float(self.rho(tuple(sorted(set(S)))))
@@ -195,8 +193,7 @@ class SlcInstance:
 
     def __post_init__(self):
         L = checked_array(self.L, "L", "symmetric", nonneg=False)
-        if self.d < 0:
-            raise ValueError("support cap must be >= 0")
+        checked_scalar(self.d, "support cap d", int, "[0, inf)")
         if np.linalg.eigvalsh(L).min() < -1e-9:
             raise ValueError("L must be positive semidefinite")
         object.__setattr__(self, "L", L)
@@ -230,8 +227,9 @@ def sample_slc_matrix(n: int, mu: float = 1.0, sigma: float = 1.0,
     orthogonal (QR of a Gaussian matrix with the sign fix), so the result is
     exactly symmetric with the drawn spectrum.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked_scalar(n, "n", int, "[1, inf)")
+    checked_scalar(mu, "mu", float, "(-inf, inf)")
+    checked_scalar(sigma, "sigma", float, "[0, inf)")
     rng = np.random.default_rng(seed)
     eigs = rng.lognormal(mean=mu, sigma=sigma, size=n)
     A = rng.standard_normal((n, n))

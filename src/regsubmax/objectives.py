@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ElementSet, ModularCost, SubmodularOracle, checked_array
+from .core import (ElementSet, ModularCost, SubmodularOracle, check_id, checked_array,
+                   checked_scalar)
 
 
 class DegenerateMatrixError(ValueError):
@@ -213,10 +214,8 @@ class LogDetOracle(SubmodularOracle):
         # The incremental state reads whole rows of M, the Cholesky of
         # ``value`` one triangle; both agree only on a symmetric kernel.
         M = checked_array(M, "kernel matrix", "symmetric", nonneg=False)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
         self.M = M
-        self.alpha = float(alpha)
+        self.alpha = float(checked_scalar(alpha, "alpha", float, "(0, inf)"))
         self.n = M.shape[0]
 
     def value(self, S: ElementSet) -> float:
@@ -260,12 +259,8 @@ class SaturatingCoverageOracle(SubmodularOracle):
         self.n = n
         table: dict[int, dict[int, float]] = {}
         for w, e, v in triples:
-            if not math.isfinite(v):
-                raise ValueError(f"score of word {w}, element {e} must be finite (got {v})")
-            if v < 0:
-                raise ValueError(f"negative score {v} for word {w}, element {e}")
-            if not 0 <= e < n:
-                raise ValueError(f"element id {e} outside ground set of size {n}")
+            check_id(e, n)
+            checked_scalar(v, f"score of word {w}, element {e}", float, "[0, inf)")
             table.setdefault(w, {})[e] = table.get(w, {}).get(e, 0.0) + v
         self.word_scores = table
 
@@ -316,8 +311,7 @@ class ReservoirEstimator:
     seed: int = 0
 
     def __post_init__(self):
-        if self.capacity < 0:
-            raise ValueError("capacity must be >= 0")
+        checked_scalar(self.capacity, "capacity", int, "[0, inf)")
         self.items: list[int] = []
         self.seen = 0
         self._rng = random.Random(self.seed)

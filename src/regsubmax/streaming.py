@@ -26,7 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .core import RegularizedInstance, Solution, best_solution, stream_ids
+from .core import (RegularizedInstance, Solution, best_solution, checked_scalar,
+                   stream_ids)
 
 _SNAP = 1e-9
 
@@ -37,8 +38,7 @@ def approx_factor(r: float) -> float:
     Strictly increasing, 0 at r = 0, approaching 1/2 as r grows; at r = 1 it
     equals the inverse square of the golden ratio.
     """
-    if r < 0:
-        raise ValueError("trade-off r must be >= 0")
+    checked_scalar(r, "trade-off r", float, "[0, inf)")
     return (2.0 * r + 1.0 - math.sqrt(4.0 * r * r + 1.0)) / 2.0
 
 
@@ -48,8 +48,7 @@ def cost_multiplier(r: float) -> float:
     Decreasing toward 1 as r -> 0; satisfies approx_factor(r) *
     cost_multiplier(r) == r, i.e. it is r / approx_factor(r).
     """
-    if r < 0:
-        raise ValueError("trade-off r must be >= 0")
+    checked_scalar(r, "trade-off r", float, "[0, inf)")
     return (2.0 * r + 1.0 + math.sqrt(4.0 * r * r + 1.0)) / 2.0
 
 
@@ -67,8 +66,7 @@ def geometric_index_range(lo: float, hi: float, base: float) -> range:
     Log-space boundaries within 1e-9 of an integer snap to it, so exact
     powers stay inside the window instead of flapping with rounding.
     """
-    if base <= 1.0:
-        raise ValueError("base must exceed 1")
+    checked_scalar(base, "base", float, "(1, inf)")
     if lo <= 0.0 or hi <= 0.0 or hi < lo or math.isinf(hi):
         return range(0)
     lb = math.log(base)
@@ -85,8 +83,7 @@ def threshold_index_range(best_single: float, k: int, r: float,
     best_single * multiplier / r cannot have accepted anything yet, so they
     can be created fresh later.  Non-positive anchors give an empty window.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    checked_scalar(eps, "eps", float, "(0, inf)")
     if best_single <= 0 or math.isinf(best_single):
         return range(0)
     hi = best_single * cost_multiplier(r) / r if r > 0 else math.inf
@@ -136,15 +133,9 @@ class ThresholdBank:
     """
 
     def __init__(self, r: float, k: int, eps: float):
-        if r <= 0:
-            raise ValueError("trade-off r must be positive")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if k < 1:
-            raise ValueError("budget k must be >= 1")
-        self.r = r
-        self.k = k
-        self.eps = eps
+        self.r = checked_scalar(r, "trade-off r", float, "(0, inf)")
+        self.k = checked_scalar(k, "budget k", int, "[1, inf)")
+        self.eps = checked_scalar(eps, "eps", float, "(0, inf)")
         self.best_single = -math.inf
         self.root = SetNode((), 0.0)
         self.copies: dict[int, SetNode] = {}
@@ -246,7 +237,7 @@ class FixedThreshold(ThresholdBank):
 
     def __init__(self, r: float, k: int, tau: float):
         super().__init__(r, k, 1.0)
-        self.tau = tau
+        self.tau = checked_scalar(tau, "tau", float, "(-inf, inf)")
         self.copies = {0: self.root}
         self.groups = {self.root: [0]}
 
@@ -270,22 +261,19 @@ def threshold_streaming(stream, instance: RegularizedInstance, r: float,
 
 def beta_for_ratio(ratio: float) -> float:
     """Utility-to-cost ratio an optimum must have for a target ratio to be hit."""
-    if not 0.0 < ratio < 0.5:
-        raise ValueError("target ratio must lie in (0, 1/2)")
+    checked_scalar(ratio, "target ratio", float, "(0, 0.5)")
     return 4.0 * ratio / (1.0 - 2.0 * ratio) ** 2
 
 
 def r_for_beta(beta: float) -> float:
     """Trade-off parameter tuned to utility-to-cost ratio beta."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    checked_scalar(beta, "beta", float, "(0, inf)")
     return beta / (2.0 * math.sqrt(1.0 + 2.0 * beta))
 
 
 def ratio_for_beta(beta: float) -> float:
     """Quality ratio achieved at utility-to-cost ratio beta (inverse of beta_for_ratio)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    checked_scalar(beta, "beta", float, "(0, inf)")
     return (1.0 + beta - math.sqrt(1.0 + 2.0 * beta)) / (2.0 * beta)
 
 
@@ -305,10 +293,8 @@ def ratio_grid(eps: float, delta: float) -> list[RatioGuess]:
     ladder short.  eps = 1/2 leaves an empty grid (the only candidate ratio
     is the invalid 1/2).
     """
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    checked_scalar(eps, "eps", float, "(0, 0.5]")
+    checked_scalar(delta, "delta", float, "(0, inf)")
     top = _snap(math.log(1.0 / (2.0 * eps)) / math.log(1.0 + delta), math.floor)
     entries = []
     for i in range(top + 1):

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
+import regsubmax.datasets as ds
 from conftest import make_instance
+from regsubmax.core import checked_scalar
+from regsubmax.experiments import ExperimentConfig
+from regsubmax.streaming import geometric_index_range
 
 
 def test_modular_cost_basics():
@@ -25,12 +29,87 @@ def test_modular_cost_rejects_bad_vectors():
 def test_instance_validation():
     oracle = rs.ModularOracle([1.0, 2.0])
     cost = rs.ModularCost(np.zeros(2))
-    with pytest.raises(ValueError):
-        rs.RegularizedInstance(oracle, cost, 0)
+    for k in (0, np.nan, np.inf, 2.5, True):
+        with pytest.raises(ValueError):
+            rs.RegularizedInstance(oracle, cost, k)
     with pytest.raises(ValueError):
         rs.RegularizedInstance(oracle, rs.ModularCost(np.zeros(3)), 1)
     inst = rs.RegularizedInstance(oracle, cost, 2)
     assert inst.f([0, 1]) == 3.0
+
+
+def test_checked_scalar_rule():
+    assert checked_scalar(np.int64(3), "k", int, "[1, inf)") == 3
+    assert checked_scalar(1, "r", float, "(0, 1]") == 1
+    for x in (0.0, 1.0):
+        assert checked_scalar(x, "p", float, "[0, 1]") == x
+        with pytest.raises(ValueError, match=r"^p must be a finite float in \(0, 1\), got"):
+            checked_scalar(x, "p", float, "(0, 1)")
+    for x in (np.nan, np.inf, -np.inf, "1", None, np.float64(np.nan)):
+        with pytest.raises(ValueError, match="^x must be a finite float"):
+            checked_scalar(x, "x", float, "(-inf, inf)")
+    for x in (3.0, np.float64(3.0), True, np.bool_(True)):
+        with pytest.raises(ValueError, match="^k must be a finite int"):
+            checked_scalar(x, "k", int, "[1, inf)")
+
+
+_INST = rs.RegularizedInstance(rs.ModularOracle([3.0, 1.0]), rs.ModularCost([0.5, 0.5]), 2)
+
+# (entry point called with the value under test, pattern of the name its
+# message starts with, kind, a valid value).  A config's annotation check
+# names the key before ``validate`` sees the value.
+SCALAR_ENTRY_POINTS = {
+    "approx_factor-r": (rs.approx_factor, "trade-off r", float, 1.0),
+    "cost_multiplier-r": (rs.cost_multiplier, "trade-off r", float, 0.0),
+    "geometric_index_range-base":
+        (lambda x: geometric_index_range(1.0, 8.0, x), "base", float, 2.0),
+    "threshold_index_range-eps":
+        (lambda x: rs.threshold_index_range(1.0, 2, 1.0, x), "eps", float, 0.5),
+    "ThresholdBank-k": (lambda x: rs.ThresholdBank(1.0, x, 0.1), "budget k", int, 3),
+    "threshold_streaming-tau":
+        (lambda x: rs.threshold_streaming([0, 1], _INST, 1.0, x), "tau", float, -10.0),
+    "beta_for_ratio-ratio": (rs.beta_for_ratio, "target ratio", float, 0.25),
+    "r_for_beta-beta": (rs.r_for_beta, "beta", float, 1.0),
+    "ratio_for_beta-beta": (rs.ratio_for_beta, "beta", float, 1.0),
+    "ratio_grid-eps": (lambda x: rs.ratio_grid(x, 0.1), "eps", float, 0.5),
+    "ratio_grid-delta": (lambda x: rs.ratio_grid(0.1, x), "delta", float, 0.1),
+    "RoundAssignment.draw-m":
+        (lambda x: rs.RoundAssignment.draw(5, x, 0, 1), "machine count", int, 1),
+    "LogDetOracle-alpha": (lambda x: rs.LogDetOracle(np.eye(2), x), "alpha", float, 1.0),
+    "ReservoirEstimator-capacity": (rs.ReservoirEstimator, "capacity", int, 0),
+    "SaturatingCoverageOracle-score":
+        (lambda x: rs.SaturatingCoverageOracle([(0, 1, x)], 2),
+         "score of word 0, element 1", float, 0.0),
+    "WeakSubmodularInstance-gamma":
+        (lambda x: rs.WeakSubmodularInstance(len, x, 2), "gamma", float, 0.0),
+    "WeakSubmodularInstance-n":
+        (lambda x: rs.WeakSubmodularInstance(len, 0.0, x), "ground set size n", int, 1),
+    "SlcInstance-d": (lambda x: rs.SlcInstance(np.eye(2), x), "support cap d", int, 0),
+    "sample_slc_matrix-n": (rs.sample_slc_matrix, "n", int, 1),
+    "sample_slc_matrix-mu": (lambda x: rs.sample_slc_matrix(3, x), "mu", float, -2.0),
+    "sample_slc_matrix-sigma":
+        (lambda x: rs.sample_slc_matrix(3, 1.0, x), "sigma", float, 0.0),
+    "random_digraph-n": (lambda x: ds.random_digraph(x, 0.5), "n", int, 1),
+    "random_digraph-p": (lambda x: ds.random_digraph(4, x), "edge probability p", float, 1.0),
+    "BenchmarkTarget-k": (lambda x: rs.BenchmarkTarget(1.0, 1.0, x), "budget k", int, 0),
+    "brute_force_tau-eps": (lambda x: rs.brute_force_tau(_INST, 1.0, x), "eps", float, 0.0),
+    "brute_force_tau-c": (lambda x: rs.brute_force_tau(_INST, 1.0, 0.1, x), "c", float, 1.0),
+    "ExperimentConfig.validate-ks":
+        (lambda x: ExperimentConfig(dataset="d", ks=(3, x)).validate(),
+         "(config 'ks'|budget k)", int, 1),
+    "ExperimentConfig.validate-machines":
+        (lambda x: ExperimentConfig(dataset="d", machines=x).validate(),
+         "(config 'machines'|machine count)", int, 1),
+}
+
+
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_scalar_parameters_reject_non_finite_and_wrong_kind(entry):
+    call, name, kind, valid = SCALAR_ENTRY_POINTS[entry]
+    call(valid)
+    for x in [np.nan, np.inf, -np.inf, True] + ([2.5, 3.0] if kind is int else []):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(x)
 
 
 def test_instance_f_is_g_minus_cost():

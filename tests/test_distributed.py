@@ -95,10 +95,12 @@ def test_config_round_count():
     assert rs.DistributedConfig(m=2, eps=0.3).rounds == 4
     assert rs.DistributedConfig(m=2, eps=0.26).rounds == 4
     assert rs.DistributedConfig(m=2, eps=2.0).rounds == 1
-    with pytest.raises(ValueError):
-        rs.DistributedConfig(m=0, eps=0.5)
-    with pytest.raises(ValueError):
-        rs.DistributedConfig(m=2, eps=0.0)
+    for m in (0, 2.5):
+        with pytest.raises(ValueError):
+            rs.DistributedConfig(m=m, eps=0.5)
+    for eps in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            rs.DistributedConfig(m=2, eps=eps)
     with pytest.raises(ValueError, match="machine count"):
         rs.RoundAssignment.draw(5, 0, 0, 1)
 

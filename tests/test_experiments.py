@@ -278,6 +278,36 @@ def test_cli_config_file_errors_print_one_line(command, raw, message, digraph_fi
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+NON_FINITE_CLI = {
+    **{f"{algo}-eps-{x}": (["run", "--algo", algo, "--k", "3", "--eps", x], "eps")
+       for algo in ("sieve", "threshold-streaming", "distributed", "distorted-streaming")
+       for x in ("inf", "nan")},
+    "distorted-streaming-delta-inf":
+        (["run", "--algo", "distorted-streaming", "--k", "3", "--delta", "inf"], "delta"),
+    "config-alpha-nan": (["run", "--algo", "greedy", "--k", "3"], "alpha"),
+    "gen-slc-mu-nan": (["gen", "slc", "--n", "4", "--mu", "nan"], "mu"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CLI)
+def test_cli_non_finite_scalars_fail_with_one_line(case, digraph_file, features_file,
+                                                   tmp_path, capsys):
+    argv, param = NON_FINITE_CLI[case]
+    out = tmp_path / "out.csv"
+    if case.startswith("config"):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({"objective": "log-det", "alpha": float("nan")}))
+        argv = argv + ["--config", str(cfgf), "--dataset", str(features_file)]
+    elif argv[0] == "run":
+        argv = argv + ["--dataset", str(digraph_file)]
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"regsubmax: error: {param} must be a finite float")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(out.name)]
+
+
 def test_cli_malformed_list_flag_is_a_usage_error(digraph_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--dataset", str(digraph_file), "--k", "3,x"])

@@ -165,12 +165,12 @@ def test_threshold_index_range_examples():
 def test_threshold_bank_rejects_non_positive_r():
     # r = 0 would open an empty ladder window and return the empty set
     inst = rs.RegularizedInstance(rs.ModularOracle([1.0]), rs.ModularCost(np.zeros(1)), 1)
-    for r in (0.0, -1.0):
+    for r in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             rs.ThresholdBank(r, 3, 0.1)
         with pytest.raises(ValueError, match="trade-off r"):
             rs.threshold_streaming([0], inst, r, 0.1)
-    for eps in (0.0, -0.5):
+    for eps in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="eps"):
             rs.ThresholdBank(1.0, 3, eps)
 
