@@ -11,8 +11,7 @@ runner with a CSV contract plus CLI (:mod:`regsubmax.experiments`,
 :mod:`regsubmax.cli`).
 """
 
-from .baselines import (BRUTE_FORCE_LIMIT, BenchmarkTarget,
-                        brute_force_distorted, brute_force_opt,
+from .baselines import (BRUTE_FORCE_LIMIT, brute_force_distorted, brute_force_opt,
                         brute_force_tau, sieve_streaming, vanilla_greedy)
 from .core import (CountingOracle, ModularCost, RegularizedInstance, Solution,
                    SubmodularOracle, best_solution)
@@ -32,7 +31,7 @@ from .streaming import (RatioGuess, ThresholdBank, approx_factor,
                         threshold_index_range, threshold_streaming)
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT", "BenchmarkTarget", "CountingOracle",
+    "BRUTE_FORCE_LIMIT", "CountingOracle",
     "DegenerateMatrixError",
     "DirectedGraph", "DistributedConfig", "FacilityLocationOracle",
     "LogDetOracle", "ModularCost", "ModularOracle", "RatioGuess",

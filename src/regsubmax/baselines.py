@@ -6,7 +6,6 @@ everything else against; they are guarded to small ground sets on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import RegularizedInstance, Solution, checked_scalar, greedy
@@ -59,35 +58,24 @@ def sieve_streaming(stream, instance: RegularizedInstance, eps: float) -> Soluti
     return SieveLadder(instance.k, eps).run(stream, instance, "sieve")
 
 
-@dataclass(frozen=True)
-class BenchmarkTarget:
-    """Weighted benchmark a*g(T) - b*ell(T) maximized over |T| <= k."""
-
-    a: float
-    b: float
-    k: int
-
-    def __post_init__(self):
-        checked_scalar(self.k, "budget k", int, "[0, inf)")
-
-
-def brute_force_distorted(instance: RegularizedInstance,
-                          target: BenchmarkTarget) -> tuple[tuple[int, ...], float]:
-    """Exact argmax of the weighted benchmark over all subsets within its budget.
+def brute_force_distorted(instance: RegularizedInstance, a: float, b: float,
+                          k: int) -> tuple[tuple[int, ...], float]:
+    """Exact argmax of the weighted benchmark a*g(T) - b*ell(T) over |T| <= k.
 
     Exponential; refuses ground sets above BRUTE_FORCE_LIMIT.  Among ties it
     returns the lexicographically smallest tuple (the empty set counts as
     smallest), so the output is deterministic.
     """
+    checked_scalar(k, "budget k", int, "[0, inf)")
     n = instance.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"ground set of size {n} exceeds brute-force limit "
                          f"{BRUTE_FORCE_LIMIT}")
     best_set: tuple[int, ...] = ()
-    best_val = target.a * instance.oracle.value(()) - target.b * instance.cost(())
-    for size in range(1, target.k + 1):
+    best_val = a * instance.oracle.value(()) - b * instance.cost(())
+    for size in range(1, k + 1):
         for cand in combinations(range(n), size):
-            v = target.a * instance.oracle.value(cand) - target.b * instance.cost(cand)
+            v = a * instance.oracle.value(cand) - b * instance.cost(cand)
             if v > best_val or (v == best_val and cand < best_set):
                 best_set, best_val = cand, v
     return best_set, best_val
@@ -95,7 +83,7 @@ def brute_force_distorted(instance: RegularizedInstance,
 
 def brute_force_opt(instance: RegularizedInstance) -> tuple[tuple[int, ...], float]:
     """Exact argmax of f = 1*g - 1*ell within the instance's budget."""
-    return brute_force_distorted(instance, BenchmarkTarget(1.0, 1.0, instance.k))
+    return brute_force_distorted(instance, 1.0, 1.0, instance.k)
 
 
 def brute_force_tau(instance: RegularizedInstance, r: float, eps: float,
@@ -110,8 +98,7 @@ def brute_force_tau(instance: RegularizedInstance, r: float, eps: float,
     low = 1.0 / (1.0 + checked_scalar(eps, "eps", float, "[0, inf)"))
     c = low if c is None else checked_scalar(c, "c", float, f"[{low - 1e-12!r}, {1 + 1e-12!r}]")
     factor = approx_factor(r)
-    T, _ = brute_force_distorted(instance,
-                                 BenchmarkTarget(factor - eps, r, instance.k))
+    T, _ = brute_force_distorted(instance, factor - eps, r, instance.k)
     anchor = factor * instance.oracle.value(T) - r * instance.cost(T)
     tau = c * anchor / instance.k
     return tau, T, anchor

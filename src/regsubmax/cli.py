@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import datasets, modefinding
-from .core import RegularizedInstance
+from .core import RegularizedInstance, checked_scalar
 from .experiments import ALGORITHMS, OBJECTIVES, ExperimentConfig, run_experiment
 
 
@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
     worst_mono = 0.0
     worst_sub = 0.0
     worst_marg = 0.0
-    for _ in range(args.triples):
+    for _ in range(checked_scalar(args.triples, "triples", int, "[1, inf)")):
         size = int(rng.integers(0, min(n, 8)))
         S = sorted(int(x) for x in rng.choice(n, size=size, replace=False))
         rest = [u for u in range(n) if u not in S]

@@ -38,7 +38,10 @@ def load_edge_list(path) -> DirectedGraph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
-    return DirectedGraph.from_edges(edges)
+    graph = DirectedGraph.from_edges(edges)
+    if graph.n == 0:
+        raise ValueError(f"{path}: no edges between distinct nodes")
+    return graph
 
 
 def write_edge_list(graph: DirectedGraph, path, comment: str = "") -> None:
@@ -65,10 +68,6 @@ def load_matrix_csv(path, header: bool = False) -> np.ndarray:
     """Dense float matrix from CSV; `header` skips the first line."""
     M = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     return checked_array(M, f"{path}: matrix", "2-D", nonneg=False)
-
-
-def load_feature_matrix(path, header: bool = False) -> np.ndarray:
-    return load_matrix_csv(path, header=header)
 
 
 def load_similarity_matrix(path, header: bool = False) -> np.ndarray:

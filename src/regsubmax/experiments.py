@@ -63,8 +63,8 @@ class ExperimentConfig:
     """Flat run description; every key can come from a config file or a flag.
 
     Construction checks every value against its field's annotation: integers
-    and reals by ``numbers`` kind (numpy scalars fit), ``bool`` only where a
-    field asks for it, tuples item by item.
+    and reals by ``numbers`` kind (numpy scalars fit, reals must be finite),
+    ``bool`` only where a field asks for it, tuples item by item.
     """
 
     dataset: str = ""
@@ -90,6 +90,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _fits(value, hints[f.name]):
                 raise ValueError(f"config {f.name!r} must be {f.type}, got {value!r}")
+            if hints[f.name] is float:
+                checked_scalar(value, f.name, float, "(-inf, inf)")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -141,7 +143,7 @@ def _build_vertex_cover(cfg: ExperimentConfig):
 def _similarity(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.dataset.endswith(".sim.csv"):
         return datasets.load_similarity_matrix(cfg.dataset, header=cfg.header)
-    X = datasets.load_feature_matrix(cfg.dataset, header=cfg.header)
+    X = datasets.load_matrix_csv(cfg.dataset, header=cfg.header)
     return objectives.similarity_from_features(X)
 
 

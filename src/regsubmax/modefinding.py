@@ -167,7 +167,7 @@ def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
                     worst = max(worst, violation(S, u, v))
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
+        for _ in range(checked_scalar(samples, "samples", int, "[1, inf)")):
             u, v = map(int, rng.choice(n, size=2, replace=False))
             mask = rng.random(n) < rng.random()
             mask[u] = mask[v] = False

@@ -10,13 +10,14 @@ below the useful window.  A known threshold is a bank with one copy
 sweeps a small grid of target quality ratios, each mapping to a trade-off
 parameter ``r``, and keeps the best output across the grid.
 
-Everything here is single-pass over the element stream, and a stream names
-each element at most once.  Sets therefore grow in stream order, and a set
-is its parent set plus the element that made it: a :class:`SetNode`.  A
-ladder copy is an integer exponent mapped to the node holding its set.  A
-node makes at most one child per element and the grid's ladders share one
-root, so copies holding equal sets hold the same node, and an element costs
-one marginal evaluation per distinct set among the copies with room.
+Every threshold stream is one pass over the elements, each named at most
+once, stepping all its banks: g({u}) is evaluated once per element, and
+never for a fixed threshold.  Sets grow in stream order, and a set is its
+parent set plus the element that made it: a :class:`SetNode`.  A ladder
+copy is an integer exponent mapped to the node holding its set.  A node
+makes at most one child per element and the pass gives all banks one root,
+so copies holding equal sets hold the same node, and an element costs one
+marginal evaluation per distinct set among the copies with room.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class ThresholdBank:
     The window is a function of the anchor alone, so copies are retired and
     created only when the anchor rises.  ``copies`` maps each exponent to
     the :class:`SetNode` of its set; a new copy starts at ``root``, the
-    empty set, which :func:`distorted_streaming` shares across its banks.
+    empty set, which the pass shares across the banks it steps.
     ``groups`` lists, for each node with room, its copies' exponents in
     ascending order.  An element costs one marginal per node, one surplus
     per group, and one bisection for the prefix of exponents whose
@@ -127,9 +128,10 @@ class ThresholdBank:
 
     This is the one accept rule of the package: the CLI's threshold
     ladder, fixed-threshold streaming, sieve and distorted streaming all
-    run on it.  A variant overrides ``window`` (the exponents worth keeping
-    for the current anchor) and ``threshold`` (the surplus copy i needs at a
-    node), which must not decrease with i.
+    run on it, through one pass over the stream.  A variant overrides
+    ``window`` (the exponents worth keeping for the current anchor) and
+    ``threshold`` (the surplus copy i needs at a node), which must not
+    decrease with i, and may set ``_factor``, the anchor's weight on g({u}).
     """
 
     def __init__(self, r: float, k: int, eps: float):
@@ -154,14 +156,12 @@ class ThresholdBank:
         return (1.0 + self.eps) ** i
 
     def step(self, u: int, instance: RegularizedInstance,
-             singleton_value: float | None = None) -> int:
-        """Advance the bank by one stream element.
+             singleton_value: float) -> int:
+        """Advance the bank by one stream element whose g({u}) is given.
 
         Returns the number of marginals it computed: nodes that another
         bank already asked about ``u`` reuse that bank's.
         """
-        if singleton_value is None:
-            singleton_value = instance.oracle.value((u,))
         cost = instance.cost[u]
         score = self._factor * singleton_value - self.r * cost
         # A non-positive anchor opens no window either way; keeping -inf
@@ -198,8 +198,7 @@ class ThresholdBank:
 
     def run(self, stream, instance: RegularizedInstance, label: str) -> Solution:
         """Step through the whole stream, then finish."""
-        for u in stream_ids(stream, instance.n):
-            self.step(u, instance)
+        _pass(stream, instance, [self], None)
         return self.finish(instance, label)
 
     def stored_elements(self) -> int:
@@ -231,13 +230,14 @@ class ThresholdBank:
 class FixedThreshold(ThresholdBank):
     """One copy at the known threshold tau, open from the first element.
 
-    Stepped with ``singleton_value=0.0`` the anchor stays non-positive, so
-    the window never moves and no singleton is evaluated.
+    Its anchor factor is zero, so no singleton turns the anchor positive:
+    the window never moves, and the pass evaluates no g({u}) for it.
     """
 
     def __init__(self, r: float, k: int, tau: float):
         super().__init__(r, k, 1.0)
         self.tau = checked_scalar(tau, "tau", float, "(-inf, inf)")
+        self._factor = 0.0
         self.copies = {0: self.root}
         self.groups = {self.root: [0]}
 
@@ -252,11 +252,35 @@ def threshold_streaming(stream, instance: RegularizedInstance, r: float,
     The collected set wins a tie with the empty set.
     """
     bank = FixedThreshold(r, instance.k, tau)
-    for u in stream_ids(stream, instance.n):
-        bank.step(u, instance, 0.0)
+    _pass(stream, instance, [bank], None)
     label = f"threshold-streaming[r={r:.6g},tau={tau:.6g}]"
     return best_solution(chain(bank.candidates(instance, label),
                                [Solution.evaluate(instance, (), f"{label}[empty]")]))
+
+
+def _pass(stream, instance: RegularizedInstance, banks: list[ThresholdBank],
+          diagnostics: dict | None) -> None:
+    """Step every bank through the stream once, from the first bank's root.
+
+    g({u}) is evaluated once per element, and only if some bank's anchor
+    reads it.  ``diagnostics``, if a dict, gets the peak stored elements and
+    copies summed over the banks, and each element's marginal-call count.
+    """
+    for bank in banks[1:]:
+        bank.root = banks[0].root
+    singletons = any(bank._factor > 0.0 for bank in banks)
+    max_stored = max_copies = 0
+    per_element_marginals: list[int] = []
+    for u in stream_ids(stream, instance.n):
+        singleton = instance.oracle.value((u,)) if singletons else 0.0
+        computed = sum(bank.step(u, instance, singleton) for bank in banks)
+        if diagnostics is not None:
+            max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
+            max_copies = max(max_copies, sum(len(b.copies) for b in banks))
+            per_element_marginals.append(computed)
+    if diagnostics is not None:
+        diagnostics.update(max_stored=max_stored, max_copies=max_copies,
+                           per_element_marginals=per_element_marginals)
 
 
 def beta_for_ratio(ratio: float) -> float:
@@ -310,10 +334,11 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
                         delta: float, diagnostics: dict | None = None) -> Solution:
     """One pass over the stream, best output across the ratio grid.
 
-    Each grid entry runs a lazy ThresholdBank and all of them grow their
-    sets from one shared root, so they share one singleton evaluation per
-    element and one marginal evaluation per distinct set.  The banks'
-    copies compete with a single empty set.
+    Each grid entry is a lazy ThresholdBank, and the one pass steps them
+    all from a shared root, so they share one singleton evaluation per
+    element and one marginal evaluation per distinct set.  An empty grid
+    (eps = 1/2) evaluates no singleton.  The banks' copies compete with a
+    single empty set.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
     elements, peak copy counts, and per-element marginal-call counts (one
@@ -321,29 +346,11 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
     """
     grid = ratio_grid(eps, delta)
     banks = [ThresholdBank(g.r, instance.k, eps) for g in grid]
-    for bank in banks[1:]:
-        bank.root = banks[0].root
-
-    max_stored = 0
-    max_copies = 0
-    per_element_marginals: list[int] = []
-    for u in stream_ids(stream, instance.n):
-        singleton = instance.oracle.value((u,))
-        computed = sum(bank.step(u, instance, singleton) for bank in banks)
-        if diagnostics is not None:
-            max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
-            max_copies = max(max_copies, sum(len(b.copies) for b in banks))
-            per_element_marginals.append(computed)
-
-    labelled = (bank.candidates(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
-                for g, bank in zip(grid, banks))
-    best = best_solution(chain(
-        [Solution.evaluate(instance, (), "distorted-streaming[empty]")],
-        chain.from_iterable(labelled)))
-
     if diagnostics is not None:
         diagnostics["grid"] = grid
-        diagnostics["max_stored"] = max_stored
-        diagnostics["max_copies"] = max_copies
-        diagnostics["per_element_marginals"] = per_element_marginals
-    return best
+    _pass(stream, instance, banks, diagnostics)
+    labelled = (bank.candidates(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
+                for g, bank in zip(grid, banks))
+    return best_solution(chain(
+        [Solution.evaluate(instance, (), "distorted-streaming[empty]")],
+        chain.from_iterable(labelled)))

@@ -152,7 +152,7 @@ def test_criterion_06_lazy_ladder_matches_eager():
         stream = [int(x) for x in rng.permutation(n)]
         bank = rs.ThresholdBank(r, k, eps)
         for u in stream:
-            bank.step(u, inst)
+            bank.step(u, inst, inst.oracle.value((u,)))
         lazy = bank.finish(inst)
         eager = eager_threshold_reference(stream, inst, r, eps)
         if sorted(lazy.elements) != sorted(eager.elements):

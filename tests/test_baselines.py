@@ -146,18 +146,19 @@ def test_brute_force_matches_exhaustive_enumeration():
         assert v == pytest.approx(best, abs=1e-12)
 
 
-def test_benchmark_target_validation():
-    rs.BenchmarkTarget(1.0, 1.0, 0)  # k == 0 is allowed here
+def test_brute_force_distorted_budget_validation(three_node_cover):
+    _, oracle, cost = three_node_cover
+    inst = rs.RegularizedInstance(oracle, cost, 2)
+    rs.brute_force_distorted(inst, 1.0, 1.0, 0)  # k == 0 is allowed here
     with pytest.raises(ValueError):
-        rs.BenchmarkTarget(1.0, 1.0, -1)
+        rs.brute_force_distorted(inst, 1.0, 1.0, -1)
 
 
 def test_brute_force_distorted_three_node(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
     h = rs.approx_factor(1.0)
-    target = rs.BenchmarkTarget(a=h, b=1.0, k=1)
-    s, v = rs.brute_force_distorted(inst, target)
+    s, v = rs.brute_force_distorted(inst, a=h, b=1.0, k=1)
     assert s == (0,)
     assert v == pytest.approx(3 * h - 1.0, abs=1e-12)
     assert v == pytest.approx(0.145898034, abs=1e-9)
@@ -166,7 +167,7 @@ def test_brute_force_distorted_three_node(three_node_cover):
 def test_brute_force_distorted_k_zero(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
-    s, v = rs.brute_force_distorted(inst, rs.BenchmarkTarget(1.0, 1.0, 0))
+    s, v = rs.brute_force_distorted(inst, 1.0, 1.0, 0)
     assert s == ()
     assert v == 0.0
 

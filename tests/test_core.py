@@ -91,9 +91,14 @@ SCALAR_ENTRY_POINTS = {
         (lambda x: rs.sample_slc_matrix(3, 1.0, x), "sigma", float, 0.0),
     "random_digraph-n": (lambda x: ds.random_digraph(x, 0.5), "n", int, 1),
     "random_digraph-p": (lambda x: ds.random_digraph(4, x), "edge probability p", float, 1.0),
-    "BenchmarkTarget-k": (lambda x: rs.BenchmarkTarget(1.0, 1.0, x), "budget k", int, 0),
+    "brute_force_distorted-k":
+        (lambda x: rs.brute_force_distorted(_INST, 1.0, 1.0, x), "budget k", int, 0),
     "brute_force_tau-eps": (lambda x: rs.brute_force_tau(_INST, 1.0, x), "eps", float, 0.0),
     "brute_force_tau-c": (lambda x: rs.brute_force_tau(_INST, 1.0, 0.1, x), "c", float, 1.0),
+    "check_gamma_weak-samples":
+        (lambda x: rs.check_gamma_weak(rs.WeakSubmodularInstance(len, 0.0, 3), "sampled", x),
+         "samples", int, 1),
+    "ExperimentConfig-eps": (lambda x: ExperimentConfig(eps=x), "(config 'eps'|eps)", float, 0.1),
     "ExperimentConfig.validate-ks":
         (lambda x: ExperimentConfig(dataset="d", ks=(3, x)).validate(),
          "(config 'ks'|budget k)", int, 1),

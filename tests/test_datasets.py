@@ -99,7 +99,7 @@ def test_load_similarity_requires_square(tmp_path):
     with pytest.raises(ValueError):
         ds.load_similarity_matrix(p)
     # feature matrices may be rectangular
-    X = ds.load_feature_matrix(p)
+    X = ds.load_matrix_csv(p)
     assert X.shape == (2, 3)
 
 
@@ -174,3 +174,26 @@ def test_save_generated_matrix_writes_sidecar(tmp_path):
     assert np.array_equal(ds.load_matrix_csv(p), M)
     meta = json.loads((tmp_path / "kernel.csv.meta.json").read_text())
     assert meta == {"kind": "slc", "n": 2, "seed": 7}
+
+
+@pytest.mark.parametrize("text", ["", "# comment only\n", "5 5\n7 7\n"],
+                         ids=["empty", "comments", "self-loops"])
+def test_load_edge_list_rejects_lists_without_edges(text, tmp_path):
+    p = tmp_path / "none.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=r"none\.txt: no edges between distinct nodes"):
+        ds.load_edge_list(p)
+
+
+def test_load_score_table_reports_malformed_triple(tmp_path):
+    p = tmp_path / "scores.csv"
+    p.write_text("0,0,2\n0,x,1\n")
+    with pytest.raises(ValueError, match=r"scores\.csv:2: malformed triple '0,x,1'"):
+        ds.load_score_table(p)
+
+
+def test_load_stream_order_reports_non_integer_line(tmp_path):
+    p = tmp_path / "order.txt"
+    p.write_text("2\n# skipped\n0\nx1\n")
+    with pytest.raises(ValueError, match=r"order\.txt:4: non-integer id 'x1'"):
+        ds.load_stream_order(p)

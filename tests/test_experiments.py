@@ -197,7 +197,7 @@ def objective_dataset(form, tmp_path, features_file):
     if form == "edges":
         ds.write_edge_list(ds.random_digraph(12, 0.25, seed=2), path)
     elif form == "similarity":
-        X = ds.load_feature_matrix(features_file)
+        X = ds.load_matrix_csv(features_file)
         ds.save_matrix_csv(similarity_from_features(X), path)
     elif form == "kernel":
         ds.save_matrix_csv(sample_slc_matrix(7, seed=11), path)
@@ -285,6 +285,7 @@ NON_FINITE_CLI = {
     "distorted-streaming-delta-inf":
         (["run", "--algo", "distorted-streaming", "--k", "3", "--delta", "inf"], "delta"),
     "config-alpha-nan": (["run", "--algo", "greedy", "--k", "3"], "alpha"),
+    "greedy-eps-nan": (["run", "--algo", "greedy", "--k", "3", "--eps", "nan"], "eps"),
     "gen-slc-mu-nan": (["gen", "slc", "--n", "4", "--mu", "nan"], "mu"),
 }
 
@@ -413,3 +414,30 @@ def test_threshold_streaming_rejects_zero_r(digraph_file):
     cfg = base_config(digraph_file, algos=("threshold-streaming",), r=0.0)
     with pytest.raises(ValueError, match="trade-off r"):
         run_experiment(cfg)
+
+
+def test_validate_rejects_an_empty_budget_list():
+    with pytest.raises(ValueError, match="need at least one budget k"):
+        ExperimentConfig(dataset="d", ks=()).validate()
+
+
+@pytest.mark.parametrize("triples", ["0", "-5"])
+def test_cli_validate_needs_a_positive_triple_count(triples, digraph_file, capsys):
+    rc = main(["validate", "--dataset", str(digraph_file), "--triples", triples])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"regsubmax: error: triples must be a finite int in [1, inf), "
+                            f"got {triples}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["", "3 3\n"], ids=["empty", "self-loops"])
+def test_cli_rejects_edge_lists_without_edges(text, tmp_path, capsys):
+    p = tmp_path / "none.txt"
+    p.write_text(text)
+    for argv in (["run", "--algo", "greedy,distorted-streaming,distributed", "--k", "2"],
+                 ["validate"]):
+        assert main(argv + ["--dataset", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"regsubmax: error: {p}: no edges between distinct nodes\n"
+        assert captured.out == ""

@@ -328,3 +328,23 @@ def test_mode_finding_pipeline_quality():
         assert reg.f(picked) >= target - 1e-9
         # reported density never exceeds the exhaustive mode
         assert reg.f(picked) <= opt_val + 1e-9
+
+
+def test_reduction_rejects_infinite_rho_where_it_needs_finite():
+    # finite at the full set, -inf at the leave-one-out set {1, 2}
+    loo = rs.WeakSubmodularInstance(
+        lambda S: -math.inf if S == (1, 2) else float(len(S)), 0.0, 3)
+    with pytest.raises(ValueError, match="rho must be finite at every leave-one-out set"):
+        rs.derived_cost(loo)
+    # finite everywhere but at the empty set
+    empty = rs.WeakSubmodularInstance(lambda S: float(len(S)) if S else -math.inf, 0.0, 3)
+    rs.derived_cost(empty)
+    with pytest.raises(ValueError, match="rho must be finite at the empty set"):
+        rs.SurrogateOracle(empty)
+
+
+def test_sampled_mode_needs_a_positive_sample_count():
+    inst = two_point_instance()
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="^samples must be a finite int in"):
+            rs.check_gamma_weak(inst, mode="sampled", samples=samples)

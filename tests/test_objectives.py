@@ -293,3 +293,12 @@ def test_modular_oracle_value_is_sum(weights, size):
     oracle = rs.ModularOracle(weights)
     idx = list(range(min(size, len(weights))))
     assert oracle.value(idx) == pytest.approx(sum(weights[i] for i in idx))
+
+
+def test_input_shape_errors():
+    with pytest.raises(ValueError, match=r"edges must be \(src, dst\) pairs"):
+        rs.DirectedGraph.from_edges([(1, 2, 3)])
+    graph = rs.DirectedGraph.from_edges([(1, 2), (2, 3)])
+    for weights in ([1.0, 1.0], [1.0] * 4):
+        with pytest.raises(ValueError, match="weights length must match node count"):
+            rs.VertexCoverOracle(graph, weights)

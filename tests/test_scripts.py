@@ -1,6 +1,10 @@
-"""Smoke runs of the example scripts and a check of the public name list."""
+"""Smoke runs of the example scripts, the bench file assembly, and a check of
+the public name list."""
 
+import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +39,48 @@ def test_public_names_resolve_once():
                  "ThresholdParams"):
         assert gone not in rs.__all__
         assert not hasattr(rs, gone)
+
+
+def _bench_script():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_assembles_canned_result_lines():
+    bench = _bench_script()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    def line(trace, attempted, failed=0):
+        declared = spec["end_to_end" if trace == 0 else "per_layer"]
+        return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+                "metrics": {m["name"]: {"value": 1.5, "unit": m["unit"]} for m in declared}}
+
+    results = {(w["name"], seed, trace): line(trace, 10 + trace, failed=trace)
+               for w in spec["workloads"] for seed in bench.SEEDS for trace in (0, 1)}
+    out = bench.assemble(spec, results, "canned")
+    assert out["label"] == "canned" and out["run_seconds"] == spec["run_seconds"]
+    assert set(out["host"]) == {"python", "numpy", "cpu_count"}
+    assert set(out["workloads"]) == {w["name"] for w in spec["workloads"]}
+    for per_seed in out["workloads"].values():
+        assert set(per_seed) == {"0", "7919"}
+        for entry in per_seed.values():
+            assert (entry["attempted"], entry["failed"]) == (21, 1)
+            assert len(entry["metrics"]) == len(spec["end_to_end"]) + len(spec["per_layer"])
+    json.dumps(out)
+
+    key = (spec["workloads"][0]["name"], 0, 1)
+    for broken, message in (("unknown", "unknown metrics ['x.y']"),
+                            ("missing", "missing ['trace.solve_s']"),
+                            ("unit", "wrong units ['trace.solve_s (ms, declared s)']")):
+        bad = dict(results)
+        bad[key] = line(1, 10)
+        if broken == "unknown":
+            bad[key]["metrics"]["x.y"] = {"value": 0.0, "unit": "s"}
+        elif broken == "missing":
+            del bad[key]["metrics"]["trace.solve_s"]
+        else:
+            bad[key]["metrics"]["trace.solve_s"]["unit"] = "ms"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bench.assemble(spec, bad, "canned")

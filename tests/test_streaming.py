@@ -179,7 +179,7 @@ def test_bank_ignores_nonpositive_scores(three_node_cover):
     _, oracle, _ = three_node_cover
     heavy = rs.RegularizedInstance(oracle, rs.ModularCost(10.0 * np.ones(3)), 2)
     bank = rs.ThresholdBank(1.0, 2, 0.5)
-    bank.step(0, heavy)
+    bank.step(0, heavy, heavy.oracle.value((0,)))
     assert bank.best_single == -math.inf
     assert bank.copies == {}
     sol = bank.finish(heavy)
@@ -191,7 +191,7 @@ def test_bank_window_tracks_anchor(three_node_cover):
     inst = rs.RegularizedInstance(oracle, cost, 2)
     bank = rs.ThresholdBank(1.0, 2, 0.5)
     for u in [0, 1, 2]:
-        bank.step(u, inst)
+        bank.step(u, inst, inst.oracle.value((u,)))
     # best singleton score is 3*factor(1) - 1
     assert bank.best_single == pytest.approx(3 * rs.approx_factor(1.0) - 1.0)
     assert sorted(bank.copies) == [-6, -5, -4, -3]
@@ -210,7 +210,7 @@ def test_bank_anchor_is_monotone_and_copies_bounded():
         bound = 2.0 + math.log(inst.k * rs.cost_multiplier(r) / r) / math.log(1 + eps)
         prev = -math.inf
         for u in range(12):
-            bank.step(u, inst)
+            bank.step(u, inst, inst.oracle.value((u,)))
             assert bank.best_single >= prev
             prev = bank.best_single
             assert len(bank.copies) <= bound
@@ -229,7 +229,7 @@ def test_lazy_bank_matches_eager_reference():
         stream = [int(x) for x in rng.permutation(n)]
         bank = rs.ThresholdBank(r, k, eps)
         for u in stream:
-            bank.step(u, inst)
+            bank.step(u, inst, inst.oracle.value((u,)))
         lazy = bank.finish(inst)
         eager = eager_threshold_reference(stream, inst, r, eps)
         assert set(lazy.elements) == set(eager.elements)
@@ -289,7 +289,7 @@ def test_distorted_streaming_one_marginal_per_distinct_live_set():
         banks = [rs.ThresholdBank(g.r, inst.k, eps) for g in rs.ratio_grid(eps, delta)]
         for u, calls in zip(stream, diag["per_element_marginals"]):
             for bank in banks:
-                bank.step(u, inst)
+                bank.step(u, inst, inst.oracle.value((u,)))
             assert calls == len(set().union(*(_offered_sets(b, u) for b in banks)))
 
 
@@ -307,7 +307,7 @@ def test_copies_holding_equal_sets_hold_one_node():
             bank.root = banks[0].root
         for u in (int(x) for x in rng.permutation(n)):
             for bank in banks:
-                bank.step(u, inst)
+                bank.step(u, inst, inst.oracle.value((u,)))
             owner = {}
             for j, bank in enumerate(banks):
                 for node in bank.copies.values():
