@@ -67,11 +67,22 @@ def assemble(spec: dict, results: dict, label: str) -> dict:
 
 
 def run_once(spec: dict, workload: str, seed: int, trace: int) -> dict:
+    """The parsed last stdout line of one run; RuntimeError, naming the command
+    and its exit status and quoting the tail of its stderr, if the run fails
+    or that line is not JSON."""
     argv = spec["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
-    print(" ".join(argv), flush=True)
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    command = " ".join(argv)
+    print(command, flush=True)
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode == 0:
+        try:
+            return json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            pass
+    tail = "\n".join(proc.stderr.strip().splitlines()[-20:])
+    raise RuntimeError(f"{command}: exit status {proc.returncode}, last stdout line not a "
+                       f"JSON result; stderr ends with:\n{tail}")
 
 
 def main() -> int:

@@ -105,7 +105,7 @@ def cmd_validate(args) -> int:
     cfg = _config_from_args(args)
     oracle, cost = OBJECTIVES[cfg.objective](cfg)
     RegularizedInstance(oracle, cost, 1)  # ValueError unless the costs fit the ground set
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(checked_scalar(args.seed, "seed", int, "[0, inf)"))
     n = oracle.n
     worst_mono = 0.0
     worst_sub = 0.0

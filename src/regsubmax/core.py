@@ -200,42 +200,36 @@ class RegularizedInstance:
 
 
 def check_id(u: int, n: int) -> None:
-    """ValueError unless ``u`` is an element of ``{0, .., n-1}``.
+    """ValueError unless ``u`` passes the one rule for element ids: an int in ``[0, n)``.
 
-    Numpy indexing would wrap a negative id onto a real element, so every
-    algorithm checks its input ids here, once, before using them.
+    Numpy integers pass; a bool or a float never does, so no id is rounded.
+    Every algorithm checks its input ids here, once, before numpy indexing
+    could wrap a negative id onto a real element.
     """
-    if not 0 <= u < n:
-        raise ValueError(f"element id {u} outside ground set of size {n}")
+    if not ((type(u) is int or of_kind(u, int)) and 0 <= u < n):
+        raise ValueError(f"element id {u!r} outside ground set of size {n} (ints in [0, {n}))")
 
 
 def stream_ids(stream: ElementSet, n: int) -> Iterator[int]:
     """The stream's ids, checked one by one as they are pulled.
 
-    ValueError on an id outside ``{0, .., n-1}`` or one seen before: a
+    ValueError on an id that fails :func:`check_id` or one seen before: a
     stream is a set, and a repeated id would spend budget twice.
     """
     seen = bytearray(n)
     for u in stream:
         check_id(u, n)
         if seen[u]:
-            raise ValueError(f"element id {u} repeated in the stream")
+            raise ValueError(f"element id {u!r} repeated")
         seen[u] = 1
         yield u
 
 
 def set_ids(S: ElementSet, n: int) -> tuple[int, ...]:
-    """The set's ids as a tuple, checked as :func:`stream_ids` checks a stream.
-
-    ValueError on an id outside ``{0, .., n-1}`` or a repeated one: the
-    oracles read ``S`` as a set while the cost would count a repeat twice.
-    """
-    elems = tuple(S)
-    for u in elems:
-        check_id(u, n)
-    if len(set(elems)) < len(elems):
-        raise ValueError(f"element ids repeated in the set {elems}")
-    return elems
+    """The set's ids as a tuple, checked as :func:`stream_ids` checks a stream:
+    the oracles read ``S`` as a set while the cost would count a repeat twice."""
+    # From a list, not the generator: see VertexCoverOracle.marginal.
+    return tuple([*stream_ids(S, n)])
 
 
 def greedy(instance: RegularizedInstance, weights: Sequence[float],
@@ -249,12 +243,15 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
     than its own (exact, since marginals only shrink and S stays as it is)
     and is skipped otherwise.
     """
-    oracle = instance.oracle
-    cands = (np.arange(oracle.n) if candidates is None
-             else np.unique(np.fromiter(candidates, dtype=np.intp)))
-    if cands.size:
-        check_id(cands[0], oracle.n)
-        check_id(cands[-1], oracle.n)
+    oracle, n = instance.oracle, instance.n
+    cands = np.arange(n) if candidates is None else candidates
+    # set_ids' rule; an integer array is checked whole: ends in range, no equal neighbours
+    if not (isinstance(cands, np.ndarray) and cands.ndim == 1 and cands.dtype.kind in "iu"):
+        cands = np.array(set_ids(cands, n), dtype=np.intp)
+    cands = np.sort(cands)
+    if cands.size and (cands[0] < 0 or cands[-1] >= n or np.any(cands[1:] == cands[:-1])):
+        set_ids(cands.tolist(), n)  # raises, naming the id
+    cands = cands.astype(np.intp, copy=False)
     costs = instance.cost.costs[cands]
     st = oracle.empty()
     S: list[int] = []

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import checked_array, checked_scalar
+from .core import checked_array, checked_scalar, stream_ids
 from .objectives import DirectedGraph, csr
 
 
@@ -58,7 +58,7 @@ def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
     """G(n, p) style digraph without self-loops; isolated nodes are kept."""
     checked_scalar(n, "n", int, "[1, inf)")
     checked_scalar(p, "edge probability p", float, "[0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
     return DirectedGraph(csr(n, *np.nonzero(mask)), tuple(range(n)))
@@ -102,21 +102,19 @@ def load_cost_vector(path) -> np.ndarray:
     return checked_array(arr, f"{path}: cost vector", "1-D", nonneg=True)
 
 
-def load_stream_order(path, n: int | None = None) -> list[int]:
-    """Newline-delimited element ids for replaying a fixed stream order."""
+def load_stream_order(path, n: int) -> list[int]:
+    """Newline-delimited element ids for replaying a fixed stream order; ValueError,
+    prefixed with the path, on a non-integer line or an id ``core.stream_ids`` rejects."""
     order = []
     for lineno, line in _data_lines(path):
         try:
             order.append(int(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer id {line!r}") from exc
-    if len(set(order)) != len(order):
-        raise ValueError(f"{path}: duplicate ids in stream order")
-    if n is not None:
-        bad = [u for u in order if not 0 <= u < n]
-        if bad:
-            raise ValueError(f"{path}: ids {bad[:5]} outside ground set of size {n}")
-    return order
+    try:
+        return [*stream_ids(order, n)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_stream_order(order, path) -> None:
@@ -130,10 +128,10 @@ def resolve_stream_order(spec: str, n: int, seed: int = 0) -> list[int]:
     if spec == "natural":
         return list(range(n))
     if spec == "shuffled":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
         return [int(u) for u in rng.permutation(n)]
     if spec.startswith("file:"):
-        return load_stream_order(spec[len("file:"):], n=n)
+        return load_stream_order(spec[len("file:"):], n)
     raise ValueError(f"unknown stream order {spec!r} "
                      "(use 'natural', 'shuffled', or 'file:PATH')")
 

@@ -129,6 +129,8 @@ class ExperimentConfig:
             checked_scalar(k, "budget k", int, "[1, inf)")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            checked_scalar(seed, "seed", int, "[0, inf)")
         checked_scalar(self.machines, "machine count", int, "[1, inf)")
 
 

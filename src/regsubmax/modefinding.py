@@ -166,7 +166,7 @@ def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
                 for u, v in itertools.combinations(rest, 2):
                     worst = max(worst, violation(S, u, v))
     elif mode == "sampled":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
         for _ in range(checked_scalar(samples, "samples", int, "[1, inf)")):
             u, v = map(int, rng.choice(n, size=2, replace=False))
             mask = rng.random(n) < rng.random()
@@ -230,7 +230,7 @@ def sample_slc_matrix(n: int, mu: float = 1.0, sigma: float = 1.0,
     checked_scalar(n, "n", int, "[1, inf)")
     checked_scalar(mu, "mu", float, "(-inf, inf)")
     checked_scalar(sigma, "sigma", float, "[0, inf)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
     eigs = rng.lognormal(mean=mu, sigma=sigma, size=n)
     A = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(A)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (ElementSet, ModularCost, SubmodularOracle, check_id, checked_array,
-                   checked_scalar)
+                   checked_scalar, set_ids)
 
 
 class DegenerateMatrixError(ValueError):
@@ -61,8 +61,11 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        """Build from (src, dst) pairs; dedupes, drops self-loops, compacts ids."""
-        flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+        """Build from (src, dst) int pairs; dedupes, drops self-loops, compacts ids."""
+        labels = [*itertools.chain.from_iterable(edges)]
+        for x in labels if set(map(type, labels)) - {int} else ():
+            checked_scalar(x, "edge label", int, "(-inf, inf)")
+        flat = np.fromiter(labels, dtype=np.int64, count=len(labels))
         if flat.size % 2:
             raise ValueError("edges must be (src, dst) pairs")
         a, b = flat[0::2], flat[1::2]
@@ -337,7 +340,7 @@ def reservoir_facility_estimate(est: ReservoirEstimator,
     """
     if not est.items:
         raise ValueError("reservoir is empty; estimate undefined")
-    cols = sorted(set(S))
+    cols = list(set_ids(S, len(similarity_rows(est.items[0]))))
     if not cols:
         return 0.0
     total = 0.0

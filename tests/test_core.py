@@ -1,3 +1,7 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,6 +106,16 @@ SCALAR_ENTRY_POINTS = {
     "ExperimentConfig.validate-ks":
         (lambda x: ExperimentConfig(dataset="d", ks=(3, x)).validate(),
          "(config 'ks'|budget k)", int, 1),
+    "ExperimentConfig.validate-seeds":
+        (lambda x: ExperimentConfig(dataset="d", seeds=(0, x)).validate(),
+         "(config 'seeds'|seed)", int, 0),
+    "random_digraph-seed": (lambda x: ds.random_digraph(4, 0.5, x), "seed", int, 0),
+    "resolve_stream_order-seed":
+        (lambda x: ds.resolve_stream_order("shuffled", 4, x), "seed", int, 0),
+    "check_gamma_weak-seed":
+        (lambda x: rs.check_gamma_weak(rs.WeakSubmodularInstance(len, 0.0, 3), "sampled", 1, x),
+         "seed", int, 0),
+    "sample_slc_matrix-seed": (lambda x: rs.sample_slc_matrix(3, 1.0, 1.0, x), "seed", int, 0),
     "ExperimentConfig.validate-machines":
         (lambda x: ExperimentConfig(dataset="d", machines=x).validate(),
          "(config 'machines'|machine count)", int, 1),
@@ -182,6 +196,14 @@ def test_set_scores_reject_repeated_and_outside_ids(score):
             run([bad])
 
 
+def _stream_order_file(inst, ids):
+    # the ids as a stream-order file, replayed through resolve_stream_order
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "order.txt"
+        path.write_text("".join(f"{u}\n" for u in ids))
+        return rs.sieve_streaming(ds.resolve_stream_order(f"file:{path}", inst.n), inst, 0.1)
+
+
 ENTRY_POINTS = {
     "greedy": ("logdet", lambda inst, ids: rs.vanilla_greedy(inst, candidates=ids)),
     "distorted-greedy": ("facility",
@@ -191,6 +213,11 @@ ENTRY_POINTS = {
                             lambda inst, ids: rs.distorted_streaming(ids, inst, 0.1, 0.2)),
     "threshold-streaming": ("vertex-cover",
                             lambda inst, ids: rs.threshold_streaming(ids, inst, 1.0, 0.01)),
+    "f": ("facility", lambda inst, ids: inst.f(ids)),
+    "evaluate": ("logdet", lambda inst, ids: rs.Solution.evaluate(inst, ids)),
+    "reservoir": ("facility", lambda inst, ids: rs.reservoir_facility_estimate(
+        rs.ReservoirEstimator(2).update(0).update(5), lambda i: np.eye(inst.n)[i], ids)),
+    "stream-order-file": ("vertex-cover", _stream_order_file),
 }
 
 
@@ -202,14 +229,24 @@ def test_entry_points_reject_ids_outside_ground_set(algo):
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="outside ground set"):
             run(inst, [0, bad])
+    # an id is never rounded: a float or a bool names no element, not even 1.0
+    # or True; a stream-order file rejects such a line as a non-integer id
+    for bad in (1.5, 1.0, True, np.float64(2.0), np.bool_(False)):
+        with pytest.raises(ValueError, match=rf"id .*{re.escape(str(bad))}"):
+            run(inst, [0, bad])
+    # any iterable of ints is an id set, and its form does not change the answer
+    for ids in ([], {0, 7}, range(8), np.arange(8), np.array([7, 0], dtype=np.int32)):
+        assert run(inst, ids) == run(inst, [int(u) for u in ids])
 
 
-@pytest.mark.parametrize("algo", ["sieve", "distorted-streaming", "threshold-streaming"])
+@pytest.mark.parametrize("algo", sorted(ENTRY_POINTS))
 def test_stream_entry_points_reject_repeated_ids(algo):
-    # a repeated id would be offered twice and could be selected twice
+    # a repeated id would be offered (or charged) twice and could be selected twice
     kind, run = ENTRY_POINTS[algo]
     inst = make_instance(np.random.default_rng(3), kind, 8, 3)
     with pytest.raises(ValueError, match="repeated"):
         run(inst, [0, 0])
     with pytest.raises(ValueError, match="repeated"):
         run(inst, [3, 0, 5, 0])
+    with pytest.raises(ValueError, match=r"element id \S*5\S* repeated"):
+        run(inst, np.array([5, 1, 5]))

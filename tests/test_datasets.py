@@ -143,13 +143,13 @@ def test_load_cost_vector(tmp_path):
 def test_stream_order_file_round_trip(tmp_path):
     p = tmp_path / "order.txt"
     ds.write_stream_order([2, 0, 1], p)
-    assert ds.load_stream_order(p) == [2, 0, 1]
+    assert ds.load_stream_order(p, 3) == [2, 0, 1]
     assert ds.load_stream_order(p, n=3) == [2, 0, 1]
     with pytest.raises(ValueError):
         ds.load_stream_order(p, n=2)
     p.write_text("0\n0\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        ds.load_stream_order(p)
+    with pytest.raises(ValueError, match="repeated"):
+        ds.load_stream_order(p, 2)
 
 
 def test_resolve_stream_order(tmp_path):
@@ -196,4 +196,4 @@ def test_load_stream_order_reports_non_integer_line(tmp_path):
     p = tmp_path / "order.txt"
     p.write_text("2\n# skipped\n0\nx1\n")
     with pytest.raises(ValueError, match=r"order\.txt:4: non-integer id 'x1'"):
-        ds.load_stream_order(p)
+        ds.load_stream_order(p, 3)

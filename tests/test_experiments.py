@@ -431,6 +431,24 @@ def test_cli_validate_needs_a_positive_triple_count(triples, digraph_file, capsy
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--dataset", "{graph}"],
+    ["gen", "digraph", "--n", "5", "--out", "{tmp}/g.txt"],
+    ["gen", "slc", "--n", "3", "--out", "{tmp}/k.csv"],
+    ["run", "--dataset", "{graph}", "--algo", "sieve", "--k", "3", "--stream-order", "shuffled"],
+    ["run", "--dataset", "{graph}", "--algo", "distributed", "--k", "3"]],
+    ids=["validate", "gen-digraph", "gen-slc", "run-shuffled", "run-distributed"])
+def test_cli_negative_seed_fails_with_one_line(argv, digraph_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([a.format(graph=digraph_file, tmp=out) for a in argv] + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "regsubmax: error: seed must be a finite int in [0, inf), got -1\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", ["", "3 3\n"], ids=["empty", "self-loops"])
 def test_cli_rejects_edge_lists_without_edges(text, tmp_path, capsys):
     p = tmp_path / "none.txt"

@@ -298,6 +298,11 @@ def test_modular_oracle_value_is_sum(weights, size):
 def test_input_shape_errors():
     with pytest.raises(ValueError, match=r"edges must be \(src, dst\) pairs"):
         rs.DirectedGraph.from_edges([(1, 2, 3)])
+    # a label is never rounded: (0, 2.9) would otherwise read as an edge to 2
+    for edges, bad in (([(0, 2.9)], "2.9"), ([(1.0, 2)], "1.0"), ([(0, "1")], "'1'")):
+        with pytest.raises(ValueError, match=rf"^edge label must be a finite int .*, got {bad}$"):
+            rs.DirectedGraph.from_edges(edges)
+    assert rs.DirectedGraph.from_edges([(np.int64(4), 2)]).original_ids == (2, 4)
     graph = rs.DirectedGraph.from_edges([(1, 2), (2, 3)])
     for weights in ([1.0, 1.0], [1.0] * 4):
         with pytest.raises(ValueError, match="weights length must match node count"):

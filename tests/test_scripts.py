@@ -84,3 +84,19 @@ def test_bench_assembles_canned_result_lines():
             bad[key]["metrics"]["trace.solve_s"]["unit"] = "ms"
         with pytest.raises(ValueError, match=re.escape(message)):
             bench.assemble(spec, bad, "canned")
+
+
+@pytest.mark.parametrize("code, status", [
+    ("print('{\\\"partial'); sys.exit(0)", 0),
+    ("sys.exit(3)", 3)], ids=["malformed-line", "exit-3"])
+def test_bench_run_failure_names_command_status_and_stderr(code, status):
+    bench = _bench_script()
+    stand_in = [sys.executable, "-c",
+                f"import sys; sys.stderr.write('early\\n' * 30 + 'solve blew up\\n'); {code}"]
+    with pytest.raises(RuntimeError) as info:
+        bench.run_once({"command": stand_in, "run_seconds": 1}, "stream", 0, 0)
+    message = str(info.value)
+    assert message.startswith(f"{' '.join(stand_in)} --workload stream --seed 0 ")
+    assert f"exit status {status}," in message
+    # the last 20 stderr lines, not all 31
+    assert message.endswith(":\n" + "early\n" * 19 + "solve blew up")
