@@ -1,14 +1,14 @@
 """File ingestion and synthetic data generation.
 
-Edge lists follow the common "src dst" whitespace format with '#' comment
-lines.  Matrices and cost vectors are plain CSV.  Score tables are
-word_id,element_id,value triples.  All loaders fail with the offending line
-number; all generators are seed-deterministic.
+Every loader reads its file with one numpy parse, ``_table``: '#' starts a
+comment anywhere on a line, blank lines are skipped, and a line that does
+not parse fails as ``<path>:<lineno>``.  All generators are seed-deterministic.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 from typing import Iterator
 
@@ -18,27 +18,38 @@ from .core import checked_array, checked_scalar, stream_ids
 from .objectives import DirectedGraph, csr
 
 
-def _data_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for every line but blanks and '#' comments."""
+def _data_lines(path, skip: int = 0) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text before any '#') of the data lines past line ``skip``."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and line[0] != "#":
+            line = raw.split("#", 1)[0].strip()
+            if line and lineno > skip:
                 yield lineno, line
+
+
+def _table(path, dtype, what: str, delimiter: str | None = None, skip: int = 0):
+    """The file as a 2-D table, one row per data line (none for an empty file),
+    parsed by numpy in one call; on a ValueError, the lines are parsed again one
+    by one for ``<path>:<lineno>: <what> <line!r>`` at the first bad one."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(path, dtype, delimiter=delimiter, skiprows=skip, ndmin=2)
+    except ValueError:
+        first = None
+        for lineno, line in _data_lines(path, skip):
+            first = first or line
+            try:  # alone and next to the first line, so a changed field count fails
+                np.loadtxt([first, line], dtype, delimiter=delimiter)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {what} {line!r}") from None
+        raise
 
 
 def load_edge_list(path) -> DirectedGraph:
     """Parse a directed edge list; dedupes, drops self-loops, compacts ids."""
-    edges = []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
-    graph = DirectedGraph.from_edges(edges)
+    edges = _table(path, "i8,i8", "expected 'src dst', got")
+    graph = DirectedGraph.from_edges(edges.view(np.int64))
     if graph.n == 0:
         raise ValueError(f"{path}: no edges between distinct nodes")
     return graph
@@ -46,12 +57,8 @@ def load_edge_list(path) -> DirectedGraph:
 
 def write_edge_list(graph: DirectedGraph, path, comment: str = "") -> None:
     """Write dense-id edges, one per line, with an optional '#' header."""
-    with open(path, "w") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+    np.savetxt(path, np.column_stack([graph.tails(), graph.out_csr[1]]), fmt="%d",
+               header=comment, comments="# ")
 
 
 def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
@@ -66,7 +73,9 @@ def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
 
 def load_matrix_csv(path, header: bool = False) -> np.ndarray:
     """Dense float matrix from CSV; `header` skips the first line."""
-    M = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    M = _table(path, float, "malformed row", ",", skip=int(header))
+    if M.size == 0:
+        raise ValueError(f"{path}: no data")
     return checked_array(M, f"{path}: matrix", "2-D", nonneg=False)
 
 
@@ -81,46 +90,34 @@ def save_matrix_csv(M: np.ndarray, path) -> None:
 
 def load_score_table(path) -> list[tuple[int, int, float]]:
     """word_id,element_id,value triples; negative or non-finite values are rejected."""
-    triples = []
-    for lineno, line in _data_lines(path):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'word,element,value'")
-        try:
-            w, e, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed triple {line!r}") from exc
-        if not np.isfinite(v) or v < 0:
-            raise ValueError(f"{path}:{lineno}: score {v} must be finite and non-negative")
-        triples.append((w, e, v))
-    return triples
+    table = _table(path, "i8,i8,f8", "malformed triple", ",").ravel()
+    bad = np.flatnonzero(~(np.isfinite(table["f2"]) & (table["f2"] >= 0)))
+    if bad.size:
+        lineno = [*_data_lines(path)][bad[0]][0]
+        raise ValueError(f"{path}:{lineno}: score {table['f2'][bad[0]]} "
+                         "must be finite and non-negative")
+    return table.tolist()
 
 
 def load_cost_vector(path) -> np.ndarray:
-    """One non-negative float per line (or a single CSV column)."""
-    arr = np.loadtxt(path, delimiter=",", ndmin=1)
-    return checked_array(arr, f"{path}: cost vector", "1-D", nonneg=True)
+    """One non-negative float per line (or a single CSV row)."""
+    C = load_matrix_csv(path)
+    return checked_array(C.ravel() if 1 in C.shape else C, f"{path}: cost vector",
+                         "1-D", nonneg=True)
 
 
 def load_stream_order(path, n: int) -> list[int]:
     """Newline-delimited element ids for replaying a fixed stream order; ValueError,
     prefixed with the path, on a non-integer line or an id ``core.stream_ids`` rejects."""
-    order = []
-    for lineno, line in _data_lines(path):
-        try:
-            order.append(int(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer id {line!r}") from exc
+    order = _table(path, [("id", np.int64)], "non-integer id")["id"].ravel()
     try:
-        return [*stream_ids(order, n)]
+        return [*stream_ids(order.tolist(), n)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def write_stream_order(order, path) -> None:
-    with open(path, "w") as fh:
-        for u in order:
-            fh.write(f"{int(u)}\n")
+    np.savetxt(path, np.asarray(order, dtype=np.int64), fmt="%d")
 
 
 def resolve_stream_order(spec: str, n: int, seed: int = 0) -> list[int]:

@@ -137,9 +137,7 @@ class ExperimentConfig:
 def _build_vertex_cover(cfg: ExperimentConfig):
     graph = datasets.load_edge_list(cfg.dataset)
     oracle = objectives.VertexCoverOracle(graph)
-    if cfg.costs:
-        return oracle, _external_cost(cfg, graph.n)
-    return oracle, objectives.vertex_cover_cost(graph.out_degrees(), cfg.q)
+    return oracle, _cost(cfg, objectives.vertex_cover_cost(graph.out_degrees(), cfg.q))
 
 
 def _similarity(cfg: ExperimentConfig) -> np.ndarray:
@@ -149,29 +147,28 @@ def _similarity(cfg: ExperimentConfig) -> np.ndarray:
     return objectives.similarity_from_features(X)
 
 
-def _external_cost(cfg: ExperimentConfig, n: int) -> ModularCost:
-    return ModularCost(datasets.load_cost_vector(cfg.costs) if cfg.costs else np.zeros(n))
+def _cost(cfg: ExperimentConfig, default: ModularCost) -> ModularCost:
+    return ModularCost(datasets.load_cost_vector(cfg.costs)) if cfg.costs else default
 
 
 def _build_facility(cfg: ExperimentConfig):
     M = _similarity(cfg)
     oracle = objectives.FacilityLocationOracle(M)
-    return oracle, _external_cost(cfg, oracle.n)
+    return oracle, _cost(cfg, ModularCost(np.zeros(oracle.n)))
 
 
 def _build_logdet(cfg: ExperimentConfig):
     M = _similarity(cfg)
     oracle = objectives.LogDetOracle(M, alpha=cfg.alpha)
-    return oracle, _external_cost(cfg, oracle.n)
+    return oracle, _cost(cfg, ModularCost(np.zeros(oracle.n)))
 
 
 def _build_coverage(cfg: ExperimentConfig):
     triples = datasets.load_score_table(cfg.dataset)
-    n = 1 + max(e for _, e, _ in triples) if triples else 0
-    if n == 0:
+    if not triples:
         raise ValueError(f"{cfg.dataset}: empty score table")
-    oracle = objectives.SaturatingCoverageOracle(triples, n)
-    return oracle, _external_cost(cfg, n)
+    oracle = objectives.SaturatingCoverageOracle(triples, 1 + max(e for _, e, _ in triples))
+    return oracle, _cost(cfg, ModularCost(np.zeros(oracle.n)))
 
 
 def _build_slc_mode(cfg: ExperimentConfig):

@@ -60,12 +60,18 @@ class DirectedGraph:
         object.__setattr__(self, "in_csr", csr(self.n, self.out_csr[1], self.tails()))
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        """Build from (src, dst) int pairs; dedupes, drops self-loops, compacts ids."""
-        labels = [*itertools.chain.from_iterable(edges)]
-        for x in labels if set(map(type, labels)) - {int} else ():
-            checked_scalar(x, "edge label", int, "(-inf, inf)")
-        flat = np.fromiter(labels, dtype=np.int64, count=len(labels))
+    def from_edges(cls, edges: Iterable[tuple[int, int]] | np.ndarray) -> "DirectedGraph":
+        """(src, dst) int pairs or an (m, 2) int array; dedupes, drops self-loops, compacts ids."""
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+            flat = edges.ravel()
+        else:
+            labels = [*itertools.chain.from_iterable(edges)]
+            try:
+                flat = np.fromiter(labels, dtype=np.int64, count=len(labels))
+            except (OverflowError, TypeError, ValueError):
+                flat = None
+            for x in labels if flat is None or set(map(type, labels)) - {int} else ():
+                checked_scalar(x, "edge label", int, f"[{-2**63}, {2**63})")
         if flat.size % 2:
             raise ValueError("edges must be (src, dst) pairs")
         a, b = flat[0::2], flat[1::2]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -197,3 +198,95 @@ def test_load_stream_order_reports_non_integer_line(tmp_path):
     p.write_text("2\n# skipped\n0\nx1\n")
     with pytest.raises(ValueError, match=r"order\.txt:4: non-integer id 'x1'"):
         ds.load_stream_order(p, 3)
+
+
+# Each loader with a file whose line 3, after a comment and a blank line, holds
+# a bad token; the last element is the text the message names that line with.
+LOADERS = {
+    "edge-list": (ds.load_edge_list, "1 2 # ok\n2 x\n", "expected 'src dst', got '2 x'"),
+    "matrix": (ds.load_matrix_csv, "1,2\n3,x\n", "malformed row '3,x'"),
+    "similarity": (ds.load_similarity_matrix, "1,0\n0,x\n", "malformed row '0,x'"),
+    "score-table": (ds.load_score_table, "0,0,1\n0,1.5,1\n", "malformed triple '0,1.5,1'"),
+    "cost-vector": (ds.load_cost_vector, "0.5\n--1\n", "malformed row '--1'"),
+    "stream-order": (lambda p: ds.load_stream_order(p, 4), "0\n1_000\n",
+                     "non-integer id '1_000'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_name_the_first_bad_line(name, tmp_path):
+    load, lines, message = LOADERS[name]
+    first, bad = lines.splitlines()
+    p = tmp_path / "data.txt"
+    p.write_text(f"# comment\n\n{bad}\n{first}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}:3: {message}')}$"):
+        load(p)
+    # the same line after a good one: the first good line is no shield
+    p.write_text(f"{first}\n# comment\n{bad}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{p}:3: {message}')}$"):
+        load(p)
+
+
+def test_loaders_take_trailing_comments_and_check_field_counts(tmp_path):
+    p = tmp_path / "data.txt"
+    p.write_text("0,0,2 # word 0\n\n1,1,0.5#\n")
+    assert ds.load_score_table(p) == [(0, 0, 2.0), (1, 1, 0.5)]
+    p.write_text("2 # first\n0\n1#x\n")
+    assert ds.load_stream_order(p, 3) == [2, 0, 1]
+    p.write_text("1,2\n3,4\n5\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: malformed row '5'$"):
+        ds.load_matrix_csv(p)
+    p.write_text("0 1\n")
+    with pytest.raises(ValueError, match=r":1: non-integer id '0 1'$"):
+        ds.load_stream_order(p, 3)
+
+
+@pytest.mark.parametrize("load", [ds.load_matrix_csv, ds.load_similarity_matrix,
+                                  ds.load_cost_vector],
+                         ids=["matrix", "similarity", "cost-vector"])
+@pytest.mark.parametrize("text", ["", "# comment only\n\n"], ids=["empty", "comments"])
+def test_matrix_loaders_reject_files_without_data(load, text, tmp_path):
+    p = tmp_path / "none.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: no data$"):
+        load(p)
+    # an empty stream order is still a valid (empty) replay
+    assert ds.load_stream_order(p, 3) == []
+
+
+def test_load_edge_list_rejects_labels_outside_int64(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("0 1\n0 9223372036854775808\n")
+    with pytest.raises(ValueError, match=r"big\.txt:2: expected 'src dst', got"):
+        ds.load_edge_list(p)
+    p.write_text("-9223372036854775808 9223372036854775807\n")
+    assert ds.load_edge_list(p).original_ids == (-2**63, 2**63 - 1)
+
+
+def test_load_edge_list_matches_from_edges_on_python_pairs(tmp_path):
+    """Differential: the numpy reader against a Python parse of the same file."""
+    rng = np.random.default_rng(11)
+    p = tmp_path / "g.txt"
+    for trial in range(40):
+        pool = np.concatenate([rng.integers(-5, 30, 12), [2**62, 2**62 - 1, -2**62]])
+        m = int(rng.integers(1, 60))
+        lines = []
+        for a, b in rng.choice(pool, (m, 2)):
+            if rng.random() < 0.2:
+                b = a  # self-loop
+            lines.append(f"{a}\t{b}" + (" # note" if rng.random() < 0.3 else ""))
+            if rng.random() < 0.2:
+                lines.append(lines[-1])  # duplicate
+            if rng.random() < 0.15:
+                lines.append(rng.choice(["", "   ", "# comment", "#1 2"]))
+        p.write_text("\n".join(lines) + "\n")
+        pairs = [tuple(int(x) for x in line.split("#")[0].split())
+                 for line in p.read_text().splitlines() if line.split("#")[0].strip()]
+        if all(a == b for a, b in pairs):
+            with pytest.raises(ValueError, match="no edges"):
+                ds.load_edge_list(p)
+            continue
+        got, want = ds.load_edge_list(p), DirectedGraph.from_edges(pairs)
+        assert got.original_ids == want.original_ids
+        for a, b in zip(got.out_csr + got.in_csr, want.out_csr + want.in_csr):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()

@@ -459,3 +459,13 @@ def test_cli_rejects_edge_lists_without_edges(text, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"regsubmax: error: {p}: no edges between distinct nodes\n"
         assert captured.out == ""
+
+
+def test_cli_edge_label_outside_int64_is_one_error_line(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text("0 9223372036854775808\n")
+    rc = main(["run", "--dataset", str(p), "--objective", "vertex-cover",
+               "--algo", "greedy", "--k", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"regsubmax: error: {p}:1: expected 'src dst', got '0 9223372036854775808'\n")

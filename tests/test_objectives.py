@@ -307,3 +307,17 @@ def test_input_shape_errors():
     for weights in ([1.0, 1.0], [1.0] * 4):
         with pytest.raises(ValueError, match="weights length must match node count"):
             rs.VertexCoverOracle(graph, weights)
+
+
+def test_from_edges_rejects_labels_outside_int64():
+    for bad in (2**63, -2**63 - 1, 10**30):
+        for edges in ([(0, bad)], [(np.int64(0), bad)]):
+            with pytest.raises(ValueError, match=rf"^edge label must be .*, got {bad}$"):
+                rs.DirectedGraph.from_edges(edges)
+    graph = rs.DirectedGraph.from_edges([(-2**63, 2**63 - 1)])
+    assert graph.original_ids == (-2**63, 2**63 - 1)
+    # an (m, 2) integer array is taken as it is, and gives the same graph as its pairs
+    arr = np.array([[5, 3], [3, 5], [5, 5], [5, 3], [-1, 3]], dtype=np.int32)
+    a, b = rs.DirectedGraph.from_edges(arr), rs.DirectedGraph.from_edges(arr.tolist())
+    assert (a.original_ids, a.edges()) == (b.original_ids, b.edges())
+    assert a.original_ids == (-1, 3, 5) and a.edges() == [(0, 1), (1, 2), (2, 1)]
