@@ -34,6 +34,9 @@ class SubmodularOracle:
     for the marginals of a whole candidate array, and ``add(st, u)``.  The
     defaults keep ``S`` as a plain list and call ``marginal`` once per
     candidate; an oracle with an incremental form overrides all three.
+    Streaming keeps a state per set, never mutated: None for the empty set,
+    ``node_state(state, u)`` for ``S + (u,)``, and ``node_gain(state, u, S)``
+    is u's marginal against S.  The defaults keep none and call ``marginal``.
     """
 
     n: int = 0
@@ -57,13 +60,19 @@ class SubmodularOracle:
         """Grow the state's set by ``u`` in place."""
         st.append(u)
 
+    def node_state(self, state, u: int):
+        return None
+
+    def node_gain(self, state, u: int, S: tuple[int, ...]) -> float:
+        return self.marginal(u, S)
+
 
 class CountingOracle(SubmodularOracle):
     """Wraps an oracle and counts evaluations.
 
-    One increment per ``value()`` or ``marginal()`` invocation on this
-    wrapper; whatever the inner oracle does internally is not the caller's
-    work and is not counted.
+    One increment per ``value()``, ``marginal()`` or ``node_gain()`` call on
+    this wrapper; the inner oracle's own work and the state methods, which
+    are the inner oracle's, are not the caller's evaluations.
     """
 
     def __init__(self, inner: SubmodularOracle):
@@ -71,6 +80,7 @@ class CountingOracle(SubmodularOracle):
         self.n = inner.n
         self.value_calls = 0
         self.marginal_calls = 0
+        self.empty, self.add, self.node_state = inner.empty, inner.add, inner.node_state
 
     def value(self, S: ElementSet) -> float:
         self.value_calls += 1
@@ -80,16 +90,14 @@ class CountingOracle(SubmodularOracle):
         self.marginal_calls += 1
         return self.inner.marginal(u, S)
 
-    def empty(self):
-        return self.inner.empty()
-
     def gains(self, st, cands: np.ndarray) -> np.ndarray:
         """Counts one marginal call per candidate scored."""
         self.marginal_calls += len(cands)
         return self.inner.gains(st, cands)
 
-    def add(self, st, u: int) -> None:
-        self.inner.add(st, u)
+    def node_gain(self, state, u: int, S: tuple[int, ...]) -> float:
+        self.marginal_calls += 1
+        return self.inner.node_gain(state, u, S)
 
     @property
     def calls(self) -> int:
@@ -228,7 +236,7 @@ def stream_ids(stream: ElementSet, n: int) -> Iterator[int]:
 def set_ids(S: ElementSet, n: int) -> tuple[int, ...]:
     """The set's ids as a tuple, checked as :func:`stream_ids` checks a stream:
     the oracles read ``S`` as a set while the cost would count a repeat twice."""
-    # From a list, not the generator: see VertexCoverOracle.marginal.
+    # From a list: a tuple built from a generator is allocated oversized and shrunk.
     return tuple([*stream_ids(S, n)])
 
 

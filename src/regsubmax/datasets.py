@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_left
 from pathlib import Path
 from typing import Iterator
 
@@ -29,21 +30,27 @@ def _data_lines(path, skip: int = 0) -> Iterator[tuple[int, str]]:
 
 def _table(path, dtype, what: str, delimiter: str | None = None, skip: int = 0):
     """The file as a 2-D table, one row per data line (none for an empty file),
-    parsed by numpy in one call; on a ValueError, the lines are parsed again one
-    by one for ``<path>:<lineno>: <what> <line!r>`` at the first bad one."""
+    parsed by numpy in one call.  On a ValueError, ``<path>:<lineno>: <what>
+    <line!r>`` for the first line that does not parse alone or next to the
+    first line (a changed field count), found by bisecting over prefixes."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             return np.loadtxt(path, dtype, delimiter=delimiter, skiprows=skip, ndmin=2)
     except ValueError:
-        first = None
-        for lineno, line in _data_lines(path, skip):
-            first = first or line
-            try:  # alone and next to the first line, so a changed field count fails
-                np.loadtxt([first, line], dtype, delimiter=delimiter)
+        lines = [*_data_lines(path, skip)]
+
+        def fails(j: int) -> bool:  # whether the first j + 1 lines fail
+            try:
+                np.loadtxt([line for _, line in lines[:j + 1]], dtype, delimiter=delimiter)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: {what} {line!r}") from None
-        raise
+                return True
+            return False
+
+        j = bisect_left(range(len(lines)), True, key=fails)
+        if j == len(lines):
+            raise
+        raise ValueError(f"{path}:{lines[j][0]}: {what} {lines[j][1]!r}") from None
 
 
 def load_edge_list(path) -> DirectedGraph:

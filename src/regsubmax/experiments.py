@@ -172,6 +172,8 @@ def _build_coverage(cfg: ExperimentConfig):
 
 
 def _build_slc_mode(cfg: ExperimentConfig):
+    if cfg.costs:
+        raise ValueError("config 'costs' does not apply to slc-mode: its cost is the kernel's")
     L = datasets.load_similarity_matrix(cfg.dataset, header=cfg.header)
     slc = modefinding.SlcInstance(L, d=L.shape[0])
     weak = slc.weak_instance(cfg.gamma)

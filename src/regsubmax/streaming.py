@@ -12,12 +12,12 @@ parameter ``r``, and keeps the best output across the grid.
 
 Every threshold stream is one pass over the elements, each named at most
 once, stepping all its banks: g({u}) is evaluated once per element, and
-never for a fixed threshold.  Sets grow in stream order, and a set is its
-parent set plus the element that made it: a :class:`SetNode`.  A ladder
-copy is an integer exponent mapped to the node holding its set.  A node
-makes at most one child per element and the pass gives all banks one root,
-so copies holding equal sets hold the same node, and an element costs one
-marginal evaluation per distinct set among the copies with room.
+never for a fixed threshold.  Sets grow in stream order, each a SetNode: its
+parent's set plus one element, with its f and oracle state.  A copy is an
+integer exponent mapped to a node; a node makes at most one child per
+element and all banks share one root, so equal sets are one node and an
+element costs one marginal, read from the state, per distinct set with room.
+The finish evaluates only sets whose f is within rounding of the best.
 """
 
 from __future__ import annotations
@@ -95,14 +95,15 @@ def threshold_index_range(best_single: float, k: int, r: float,
 class SetNode:
     """One set grown in stream order, shared by every ladder copy holding it.
 
-    ``S`` is the set as a tuple and ``f`` the f-gains summed along the path
-    that built it.  ``u`` is the element last offered to the node, ``gain``
-    its marginal against ``S``, and ``child`` the node ``S + (u,)`` once a
-    copy takes ``u``.  One child per element makes equal sets one node.
+    ``S`` is the set as a tuple, ``f`` the f-gains summed along its path and
+    ``state`` the oracle's ``node_state`` of ``S`` (None at the root).  ``u``
+    is the element last offered, ``gain`` its ``node_gain`` against ``S``,
+    and ``child`` the node ``S + (u,)`` once a copy takes ``u``.
     """
 
     S: tuple[int, ...]
     f: float
+    state: object = None
     u: int | None = field(init=False, default=None)
     gain: float = field(init=False, default=0.0)
     child: SetNode | None = field(init=False, default=None)
@@ -173,11 +174,12 @@ class ThresholdBank:
             for i, node in self.copies.items():
                 if len(node.S) < self.k:
                     self.groups.setdefault(node, []).append(i)
+        oracle = instance.oracle
         computed = 0
         groups = {}
         for node, exps in self.groups.items():
             if node.u != u:
-                node.u, node.gain, node.child = u, instance.oracle.marginal(u, node.S), None
+                node.u, node.gain, node.child = u, oracle.node_gain(node.state, u, node.S), None
                 computed += 1
             surplus = node.gain - self.multiplier * cost
             # Most groups reject outright; `not >=` also rejects a NaN surplus.
@@ -186,7 +188,8 @@ class ThresholdBank:
                 continue
             j = bisect_right(exps, surplus, 1, key=lambda i: self.threshold(i, node))
             if node.child is None:
-                node.child = SetNode(node.S + (u,), node.f + (node.gain - cost))
+                node.child = SetNode(node.S + (u,), node.f + (node.gain - cost),
+                                     oracle.node_state(node.state, u))
             for i in exps[:j]:
                 self.copies[i] = node.child
             if len(node.child.S) < self.k:
@@ -207,17 +210,19 @@ class ThresholdBank:
     def candidates(self, instance: RegularizedInstance, label: str):
         """The copies' sets as Solutions, ascending by exponent, lazily.
 
-        A copy holding the same set as the copy below it (the lowest one:
-        the empty set) has the same f and comes later, so under the
-        first-strict-max rule it cannot win and is not evaluated.  A
-        generator, so a best-of pick keeps only its best Solution alive.
+        Under the first-strict-max rule, a copy holding the same set as the
+        copy below it (the lowest one: the empty set) cannot win, nor can a
+        ``node.f`` more than rounding below the largest (the empty set's 0
+        included).  A generator, so a best-of pick keeps one Solution alive.
         """
+        top = max([0.0, *(node.f for node in self.copies.values())])
+        floor = top - 1e-9 * (1.0 + abs(top))
         below = ()
         for i in sorted(self.copies):
-            S = self.copies[i].S
-            if S != below:
-                yield Solution.evaluate(instance, S, f"{label}[i={i}]")
-            below = S
+            node = self.copies[i]
+            if node.S != below and node.f >= floor:
+                yield Solution.evaluate(instance, node.S, f"{label}[i={i}]")
+            below = node.S
 
     def finish(self, instance: RegularizedInstance,
                label: str = "threshold-bank") -> Solution:
@@ -262,17 +267,20 @@ def _pass(stream, instance: RegularizedInstance, banks: list[ThresholdBank],
           diagnostics: dict | None) -> None:
     """Step every bank through the stream once, from the first bank's root.
 
-    g({u}) is evaluated once per element, and only if some bank's anchor
-    reads it.  ``diagnostics``, if a dict, gets the peak stored elements and
-    copies summed over the banks, and each element's marginal-call count.
+    g({u}), g(()) plus u's gain at the root (g(()) need not be 0), is
+    evaluated once per element, and only if some bank's anchor reads it.
+    ``diagnostics``, if a dict, gets the peak stored elements and copies
+    summed over the banks, and each element's marginal-call count.
     """
+    oracle, root = instance.oracle, banks[0].root
     for bank in banks[1:]:
-        bank.root = banks[0].root
+        bank.root = root
     singletons = any(bank._factor > 0.0 for bank in banks)
+    empty = oracle.value(()) if singletons else 0.0
     max_stored = max_copies = 0
     per_element_marginals: list[int] = []
     for u in stream_ids(stream, instance.n):
-        singleton = instance.oracle.value((u,)) if singletons else 0.0
+        singleton = empty + oracle.node_gain(root.state, u, ()) if singletons else 0.0
         computed = sum(bank.step(u, instance, singleton) for bank in banks)
         if diagnostics is not None:
             max_stored = max(max_stored, sum(b.stored_elements() for b in banks))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -290,3 +291,20 @@ def test_load_edge_list_matches_from_edges_on_python_pairs(tmp_path):
         assert got.original_ids == want.original_ids
         for a, b in zip(got.out_csr + got.in_csr, want.out_csr + want.in_csr):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("bad", ["7 x", "7 8 9"], ids=["token", "field-count"])
+def test_first_bad_line_is_found_in_few_parses(bad, tmp_path, monkeypatch):
+    # a bisection over prefixes of the data lines, not one parse per line
+    p = tmp_path / "edges.txt"
+    lines = ["# header"] + [f"{i} {i + 1}" for i in range(1000)]
+    lines[700] = bad
+    lines[900] = "1 y"
+    p.write_text("\n".join(lines) + "\n")
+    parses = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parses.append(1) or loadtxt(*a, **kw))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:701: expected 'src dst', "
+                                         rf"got '{bad}'$"):
+        ds.load_edge_list(p)
+    assert len(parses) <= 2 + math.ceil(math.log2(1000))

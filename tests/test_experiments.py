@@ -362,6 +362,23 @@ def test_cost_file_must_fit_the_ground_set(objective, digraph_file, features_fil
         assert err.startswith("regsubmax: error: ") and "cost vector length" in err
 
 
+def test_slc_mode_rejects_a_cost_file(tmp_path, capsys):
+    # the surrogate's cost comes from the kernel, so a cost file would be ignored
+    kernel, costs, cfgf = tmp_path / "k.csv", tmp_path / "c.txt", tmp_path / "c.json"
+    assert main(["gen", "slc", "--n", "6", "--seed", "1", "--out", str(kernel)]) == 0
+    capsys.readouterr()
+    costs.write_text("100\n" * 6)
+    cfgf.write_text(json.dumps({"costs": str(costs)}))
+    for command in (["run", "--algo", "greedy", "--k", "3"], ["validate"]):
+        rc = main([*command, "--config", str(cfgf), "--dataset", str(kernel),
+                   "--objective", "slc-mode"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("regsubmax: error: config 'costs' does not "
+                                           "apply to slc-mode: its cost is the kernel's\n")
+    assert main(["run", "--dataset", str(kernel), "--objective", "slc-mode",
+                 "--algo", "greedy", "--k", "3"]) == 0
+
+
 def test_cli_validate_requires_dataset(capsys):
     rc = main(["validate"])
     assert rc == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsubmax as rs
-from conftest import (KINDS, ValueOnly, make_instance, value_table,
+from conftest import (KINDS, ValueOnly, make_instance, random_digraph_dense, value_table,
                       worst_monotonicity_violation,
                       worst_submodularity_violation)
 
@@ -321,3 +322,84 @@ def test_from_edges_rejects_labels_outside_int64():
     a, b = rs.DirectedGraph.from_edges(arr), rs.DirectedGraph.from_edges(arr.tolist())
     assert (a.original_ids, a.edges()) == (b.original_ids, b.edges())
     assert a.original_ids == (-1, 3, 5) and a.edges() == [(0, 1), (1, 2), (2, 1)]
+
+
+def _cover_reference(graph, weights, S, u=None):
+    """g(S), or u's marginal against S, from frozensets summed in ascending order."""
+    ptr, heads = graph.out_csr
+    cover = [frozenset([v, *heads[ptr[v]:ptr[v + 1]].tolist()]) for v in range(graph.n)]
+    covered = frozenset().union(*[cover[v] for v in S])
+    nodes = sorted(covered if u is None else cover[u] - covered)
+    return float(weights[nodes].sum()) if nodes else 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 70, 130])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+def test_vertex_cover_masks_match_a_frozenset_reference(n, unit):
+    rng = np.random.default_rng(n + 1000 * unit)
+    graph = random_digraph_dense(rng, n, 0.15)
+    weights = np.ones(n) if unit else rng.uniform(0.2, 1.5, n)
+    oracle = rs.VertexCoverOracle(graph, None if unit else weights)
+    for _ in range(60):
+        # numpy ids, as a numpy stream passes them, past the 63 bits of an int64 mask
+        S = [*rng.choice(n, int(rng.integers(0, min(n, 6) + 1)), replace=False)]
+        assert oracle.value(S) == _cover_reference(graph, weights, S)
+        for u in rng.choice(n, min(n, 5), replace=False):
+            assert oracle.marginal(u, S) == _cover_reference(graph, weights, S, u)
+
+
+def test_vertex_cover_oracle_memory_is_linear_in_the_graph():
+    # no table of one n-bit mask per node: that would be 1.25 GB at n = 100k
+    n = 100_000
+    rng = np.random.default_rng(5)
+    src, dst = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+    graph = rs.DirectedGraph(rs.objectives.csr(n, src, dst), tuple(range(n)))
+    tracemalloc.start()
+    try:
+        oracle = rs.VertexCoverOracle(graph)
+        state = oracle.node_state(None, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    u = int(src[0])
+    assert oracle.node_gain(state, u, (0,)) == oracle.marginal(u, (0,)) == _cover_reference(
+        graph, np.ones(n), (0,), u)
+
+
+@pytest.mark.parametrize("kind", KINDS + ("unit-cover",))
+def test_node_state_gains_match_marginals_bit_for_bit(kind):
+    # along stream-grown paths, as the streaming ladder grows its sets
+    rng = np.random.default_rng(KINDS.index(kind) if kind in KINDS else 99)
+    for _ in range(6):
+        n = int(rng.integers(3, 40))
+        if kind == "unit-cover":
+            oracle = rs.VertexCoverOracle(random_digraph_dense(rng, n, 0.2))
+        else:
+            oracle = make_instance(rng, kind, n, 3).oracle
+        counter = rs.CountingOracle(oracle)
+        for u in range(n):
+            assert counter.node_gain(None, u, ()) == oracle.value((u,))
+        path = [(None, ())]
+        for u in (int(x) for x in rng.permutation(n)):
+            state, S = path[-1]
+            for v in range(n):
+                assert counter.node_gain(state, v, S) == oracle.marginal(v, S)
+            if len(S) < 6 and rng.random() < 0.5:
+                path.append((counter.node_state(state, u), S + (u,)))
+        # growing a child leaves its parent's state as it was
+        for state, S in path:
+            assert [counter.node_gain(state, v, S) for v in range(n)] == [
+                oracle.marginal(v, S) for v in range(n)]
+        assert counter.value_calls == 0
+        assert counter.marginal_calls == n + n * n + n * len(path)
+
+
+@pytest.mark.parametrize("edges", [[(1, 2, 3), (4, 5, 6)], [(1, 2), (3,)], [(1, 2, 3), (4,)],
+                                   [(1,)], [()]])
+def test_from_edges_rejects_rows_that_are_not_pairs(edges):
+    # an even label count is not enough: (1, 2, 3), (4, 5, 6) must not read as 1->2, 3->4, 5->6
+    with pytest.raises(ValueError, match=r"^edges must be \(src, dst\) pairs$"):
+        rs.DirectedGraph.from_edges(edges)
+    with pytest.raises(ValueError, match=r"^edges must be \(src, dst\) pairs$"):
+        rs.DirectedGraph.from_edges(iter(edges))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import regsubmax as rs
 from regsubmax.streaming import FixedThreshold, SetNode, geometric_index_range
 from conftest import (eager_threshold_reference, ladder_reference, make_instance,
-                      threshold_reference, KINDS)
+                      sieve_reference, threshold_reference, KINDS)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -247,6 +247,68 @@ def test_bank_finish_keeps_lowest_exponent_among_equal_sets():
     assert (sol.elements, sol.provenance) == ((0,), "threshold-bank[i=1]")
     # the empty set, [1] and [0]: copy -1 repeats the empty set, 2 repeats 1
     assert counter.value_calls == 3
+
+
+def test_bank_finish_evaluates_only_sets_near_the_best_running_f():
+    # copies 0 and 1 have running f within rounding of each other, ranked
+    # the other way round from scratch; copy 2 lies far below both
+    weights = [1.0, 1.0 + 2e-12, 0.5]
+    inst, counter = rs.RegularizedInstance(
+        rs.ModularOracle(weights), rs.ModularCost(np.zeros(3)), 2).counted()
+    bank = rs.ThresholdBank(1.0, 2, 0.5)
+    for i, (S, f) in enumerate((((0,), 1.0 + 1e-12), ((1,), 1.0), ((2,), 0.5))):
+        bank.copies[i] = SetNode(S, f)
+    every = rs.best_solution([rs.Solution.evaluate(inst, (), "threshold-bank[empty]")] + [
+        rs.Solution.evaluate(inst, node.S, f"threshold-bank[i={i}]")
+        for i, node in sorted(bank.copies.items())])
+    counter.value_calls = 0
+    sol = bank.finish(inst)
+    assert (sol.elements, sol.provenance) == (every.elements, every.provenance) == (
+        (1,), "threshold-bank[i=1]")
+    # the empty set, [0] and [1]: [2] costs no value call
+    assert counter.value_calls == 3
+    # a running f far below the empty set's 0 is not evaluated either
+    bank.copies = {0: SetNode((2,), -1.0)}
+    assert bank.finish(inst).elements == ()
+    assert counter.value_calls == 4
+
+
+def test_streaming_singletons_are_marginals_against_the_root():
+    # g({u}) is one marginal call per element plus g(()) once per pass;
+    # the other value calls are the finish's
+    rng = np.random.default_rng(59)
+    inst = make_instance(rng, "vertex-cover", 40, 4)
+    stream = [int(x) for x in rng.permutation(40)]
+    counted, counter = inst.counted()
+    diag = {}
+    rs.distorted_streaming(stream, counted, 0.1, 0.2, diagnostics=diag)
+    assert counter.marginal_calls == 40 + sum(diag["per_element_marginals"])
+    assert counter.value_calls < 40
+    counted, counter = inst.counted()
+    rs.sieve_streaming(stream, counted, 0.1)
+    assert counter.marginal_calls >= 40 and counter.value_calls < 40
+
+
+def test_streaming_singletons_keep_a_nonzero_empty_value():
+    # the surrogate keeps rho(()) > 0 as g(()), so g({u}) is not u's gain at the root
+    rng = np.random.default_rng(61)
+    w = rng.uniform(0.5, 2.0, 12)
+    weak = rs.WeakSubmodularInstance(lambda S: 4.0 + math.log1p(float(w[list(S)].sum())),
+                                     0.0, 12)
+    inst = rs.surrogate_instance(weak, 4)
+    assert inst.oracle.value(()) == 4.0
+    stream = [int(x) for x in rng.permutation(12)]
+    bank = rs.ThresholdBank(0.3, 4, 0.1)
+    bank.run(stream, inst, "bank")
+    anchor = max(bank._factor * inst.oracle.value((u,)) - bank.r * inst.cost[u] for u in stream)
+    assert anchor > 0.0 and bank.best_single == pytest.approx(anchor, rel=1e-12, abs=0.0)
+    got, want = rs.distorted_streaming(stream, inst, 0.1, 0.2), ladder_reference(
+        stream, inst, 0.1, 0.2)
+    assert (got.elements, got.f_value, got.provenance) == (
+        want.elements, want.f_value, want.provenance)
+    got, want = rs.sieve_streaming(stream, inst, 0.1), sieve_reference(stream, inst, 0.1)
+    assert (got.elements, got.f_value, got.provenance) == (
+        want.elements, want.f_value, want.provenance)
 
 
 @pytest.mark.parametrize("eps,delta", [(0.1, 0.2), (0.2, 0.5), (0.05, 1.0)])
