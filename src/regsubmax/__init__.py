@@ -11,41 +11,37 @@ runner with a CSV contract plus CLI (:mod:`regsubmax.experiments`,
 :mod:`regsubmax.cli`).
 """
 
-from .baselines import (BRUTE_FORCE_LIMIT, brute_force_distorted, brute_force_opt,
-                        brute_force_tau, sieve_streaming, vanilla_greedy)
+from .baselines import (BRUTE_FORCE_LIMIT, brute_force_opt, brute_force_tau,
+                        sieve_streaming, vanilla_greedy)
 from .core import (CountingOracle, ModularCost, RegularizedInstance, Solution,
                    SubmodularOracle, best_solution)
-from .distributed import (DistributedConfig, RoundAssignment, RoundMetrics,
-                          distorted_greedy, machine_of, run_distributed)
+from .distributed import (DistributedConfig, RoundAssignment, distorted_greedy,
+                          run_distributed)
 from .modefinding import (SlcInstance, SurrogateOracle, WeakSubmodularInstance,
-                          check_gamma_weak, derived_cost, lambda_value,
-                          sample_slc_matrix, surrogate_instance)
+                          check_gamma_weak, derived_cost, sample_slc_matrix,
+                          surrogate_instance)
 from .objectives import (DegenerateMatrixError, DirectedGraph,
                          FacilityLocationOracle, LogDetOracle, ModularOracle,
                          ReservoirEstimator, SaturatingCoverageOracle,
                          VertexCoverOracle, reservoir_facility_estimate,
                          similarity_from_features, vertex_cover_cost)
-from .streaming import (RatioGuess, ThresholdBank, approx_factor,
-                        beta_for_ratio, cost_multiplier, distorted_streaming,
-                        r_for_beta, ratio_for_beta, ratio_grid,
-                        threshold_index_range, threshold_streaming)
+from .streaming import (ThresholdBank, approx_factor, beta_for_ratio,
+                        cost_multiplier, distorted_streaming, r_for_beta,
+                        ratio_for_beta, ratio_grid, threshold_streaming)
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT", "CountingOracle",
-    "DegenerateMatrixError",
+    "BRUTE_FORCE_LIMIT", "CountingOracle", "DegenerateMatrixError",
     "DirectedGraph", "DistributedConfig", "FacilityLocationOracle",
-    "LogDetOracle", "ModularCost", "ModularOracle", "RatioGuess",
-    "RegularizedInstance", "ReservoirEstimator", "RoundAssignment",
-    "RoundMetrics", "SaturatingCoverageOracle", "SlcInstance", "Solution",
-    "SubmodularOracle", "SurrogateOracle", "ThresholdBank", "VertexCoverOracle",
-    "WeakSubmodularInstance",
-    "approx_factor", "best_solution", "beta_for_ratio", "brute_force_distorted",
-    "brute_force_opt", "brute_force_tau", "check_gamma_weak", "cost_multiplier",
-    "derived_cost", "distorted_greedy", "distorted_streaming", "lambda_value",
-    "machine_of", "r_for_beta", "ratio_for_beta", "ratio_grid",
-    "reservoir_facility_estimate", "run_distributed", "sample_slc_matrix",
-    "sieve_streaming", "similarity_from_features", "surrogate_instance",
-    "threshold_index_range", "threshold_streaming", "vanilla_greedy",
+    "LogDetOracle", "ModularCost", "ModularOracle", "RegularizedInstance",
+    "ReservoirEstimator", "RoundAssignment", "SaturatingCoverageOracle",
+    "SlcInstance", "Solution", "SubmodularOracle", "SurrogateOracle",
+    "ThresholdBank", "VertexCoverOracle", "WeakSubmodularInstance",
+    "approx_factor", "best_solution", "beta_for_ratio", "brute_force_opt",
+    "brute_force_tau", "check_gamma_weak", "cost_multiplier", "derived_cost",
+    "distorted_greedy", "distorted_streaming", "r_for_beta", "ratio_for_beta",
+    "ratio_grid", "reservoir_facility_estimate", "run_distributed",
+    "sample_slc_matrix", "sieve_streaming", "similarity_from_features",
+    "surrogate_instance", "threshold_streaming", "vanilla_greedy",
     "vertex_cover_cost",
 ]
 

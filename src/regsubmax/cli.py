@@ -107,15 +107,16 @@ def cmd_validate(args) -> int:
     RegularizedInstance(oracle, cost, 1)  # ValueError unless the costs fit the ground set
     rng = np.random.default_rng(checked_scalar(args.seed, "seed", int, "[0, inf)"))
     n = oracle.n
+    if n < 2:
+        raise ValueError(f"validate needs at least two elements to sample, got {n}")
     worst_mono = 0.0
     worst_sub = 0.0
     worst_marg = 0.0
     for _ in range(checked_scalar(args.triples, "triples", int, "[1, inf)")):
-        size = int(rng.integers(0, min(n, 8)))
+        # |S| <= n - 2 leaves two elements outside S for u and v.
+        size = int(rng.integers(0, min(n - 1, 8)))
         S = sorted(int(x) for x in rng.choice(n, size=size, replace=False))
         rest = [u for u in range(n) if u not in S]
-        if len(rest) < 2:
-            continue
         u, v = (int(x) for x in rng.choice(rest, size=2, replace=False))
         base = oracle.value(S)
         with_u = oracle.value(S + [u])

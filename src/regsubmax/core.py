@@ -13,6 +13,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -303,10 +304,7 @@ class Solution:
 
 def best_solution(candidates: Iterable[Solution]) -> Solution:
     """First strict maximizer of f among candidates (order breaks ties)."""
-    best = None
-    for sol in candidates:
-        if best is None or sol.f_value > best.f_value:
-            best = sol
+    best = max(candidates, key=attrgetter("f_value"), default=None)
     if best is None:
         raise ValueError("no candidate solutions")
     return best

@@ -34,12 +34,6 @@ def _round_key(seed: int, round_index: int) -> int:
     return _mix64(x ^ ((round_index & _M64) + 0xD1B54A32D192ED03))
 
 
-def machine_of(seed: int, round_index: int, element: int, m: int) -> int:
-    """Uniform machine id for one element, a pure function of its key."""
-    x = _mix64(_round_key(seed, round_index) ^ ((element & _M64) + 0x8CB92BA72F3D8DD7))
-    return x % m
-
-
 @dataclass(frozen=True)
 class RoundAssignment:
     """One round's element -> machine partition."""
@@ -49,7 +43,9 @@ class RoundAssignment:
 
     @classmethod
     def draw(cls, n: int, m: int, seed: int, round_index: int) -> "RoundAssignment":
-        """``machine_of`` for elements 0..n-1 at once, in wrapping uint64."""
+        """Machines of elements u = 0..n-1, in wrapping uint64: the splitmix64
+        finalizer of ``(u + c) ^ _round_key(seed, round_index)``, c a fixed
+        constant, modulo m."""
         checked_scalar(m, "machine count", int, "[1, inf)")
         x = np.arange(n, dtype=np.uint64)
         x += np.uint64(0x8CB92BA72F3D8DD7)

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -190,45 +190,34 @@ OBJECTIVES = {
 }
 
 
-@dataclass
-class RunContext:
-    stream: list[int]
-    eps: float
-    delta: float
-    machines: int
-    seed: int
-    r: float
-    round_metrics: list = field(default_factory=list)
-
-
-def _algo_greedy(instance, ctx):
+def _algo_greedy(instance, cfg, seed, stream, rounds):
     return Solution.evaluate(instance, baselines.vanilla_greedy(instance), "greedy")
 
 
-def _algo_distorted_greedy(instance, ctx):
+def _algo_distorted_greedy(instance, cfg, seed, stream, rounds):
     return Solution.evaluate(instance, distributed.distorted_greedy(instance),
                              "distorted-greedy")
 
 
-def _algo_sieve(instance, ctx):
-    return baselines.sieve_streaming(ctx.stream, instance, ctx.eps)
+def _algo_sieve(instance, cfg, seed, stream, rounds):
+    return baselines.sieve_streaming(stream, instance, cfg.eps)
 
 
-def _algo_threshold_streaming(instance, ctx):
-    return streaming.ThresholdBank(ctx.r, instance.k, ctx.eps).run(
-        ctx.stream, instance, f"threshold-streaming[r={ctx.r:.6g}]")
+def _algo_threshold_streaming(instance, cfg, seed, stream, rounds):
+    return streaming.ThresholdBank(cfg.r, instance.k, cfg.eps).run(
+        stream, instance, f"threshold-streaming[r={cfg.r:.6g}]")
 
 
-def _algo_distorted_streaming(instance, ctx):
-    return streaming.distorted_streaming(ctx.stream, instance, ctx.eps, ctx.delta)
+def _algo_distorted_streaming(instance, cfg, seed, stream, rounds):
+    return streaming.distorted_streaming(stream, instance, cfg.eps, cfg.delta)
 
 
-def _algo_distributed(instance, ctx):
-    config = distributed.DistributedConfig(ctx.machines, ctx.eps, ctx.seed)
-    return distributed.run_distributed(instance, config, metrics=ctx.round_metrics)
+def _algo_distributed(instance, cfg, seed, stream, rounds):
+    config = distributed.DistributedConfig(cfg.machines, cfg.eps, seed)
+    return distributed.run_distributed(instance, config, metrics=rounds)
 
 
-def _algo_brute_force(instance, ctx):
+def _algo_brute_force(instance, cfg, seed, stream, rounds):
     best, _ = baselines.brute_force_opt(instance)
     return Solution.evaluate(instance, best, "brute-force")
 
@@ -247,6 +236,8 @@ ALGORITHMS = {
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".9g")
+    if isinstance(x, list):
+        return ";".join(map(str, x))
     return str(x)
 
 
@@ -262,21 +253,16 @@ def run_experiment(cfg: ExperimentConfig):
     for algo, k, seed in cells:
         counting = CountingOracle(oracle)
         instance = RegularizedInstance(counting, cost, k)
-        ctx = RunContext(
-            stream=datasets.resolve_stream_order(cfg.stream_order, oracle.n, seed),
-            eps=cfg.eps, delta=cfg.delta, machines=cfg.machines, seed=seed,
-            r=cfg.r)
+        stream = datasets.resolve_stream_order(cfg.stream_order, oracle.n, seed)
+        rounds = []
         start = time.perf_counter()
-        sol = ALGORITHMS[algo](instance, ctx)
+        sol = ALGORITHMS[algo](instance, cfg, seed, stream, rounds)
         wall_ms = (time.perf_counter() - start) * 1000.0
         rows.append(ResultRow(label, algo, k, cfg.eps, cfg.delta, cfg.machines,
                               seed, sol.f_value, sol.g_value, sol.ell_value,
                               counting.calls, wall_ms, sol.provenance))
-        for rm in ctx.round_metrics:
-            round_rows.append((label, algo, k, cfg.eps, cfg.machines, seed,
-                               rm.round_index, rm.pool_sets, rm.pool_elements,
-                               ";".join(str(s) for s in rm.shard_sizes),
-                               rm.oracle_calls))
+        round_rows += [(label, algo, k, cfg.eps, cfg.machines, seed, *astuple(rm))
+                       for rm in rounds]
     if cfg.out:
         emit_results(rows, cfg.out)
         if round_rows:

@@ -167,7 +167,8 @@ def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
                     worst = max(worst, violation(S, u, v))
     elif mode == "sampled":
         rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
-        for _ in range(checked_scalar(samples, "samples", int, "[1, inf)")):
+        count = checked_scalar(samples, "samples", int, "[1, inf)")
+        for _ in range(count if n >= 2 else 0):  # no triple without two elements
             u, v = map(int, rng.choice(n, size=2, replace=False))
             mask = rng.random(n) < rng.random()
             mask[u] = mask[v] = False

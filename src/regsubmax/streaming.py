@@ -204,9 +204,6 @@ class ThresholdBank:
         _pass(stream, instance, [self], None)
         return self.finish(instance, label)
 
-    def stored_elements(self) -> int:
-        return sum(len(c.S) for c in self.copies.values())
-
     def candidates(self, instance: RegularizedInstance, label: str):
         """The copies' sets as Solutions, ascending by exponent, lazily.
 
@@ -265,15 +262,15 @@ def threshold_streaming(stream, instance: RegularizedInstance, r: float,
 
 def _pass(stream, instance: RegularizedInstance, banks: list[ThresholdBank],
           diagnostics: dict | None) -> None:
-    """Step every bank through the stream once, from the first bank's root.
+    """Step every bank through the stream once, from one shared empty root.
 
     g({u}), g(()) plus u's gain at the root (g(()) need not be 0), is
     evaluated once per element, and only if some bank's anchor reads it.
     ``diagnostics``, if a dict, gets the peak stored elements and copies
     summed over the banks, and each element's marginal-call count.
     """
-    oracle, root = instance.oracle, banks[0].root
-    for bank in banks[1:]:
+    oracle, root = instance.oracle, SetNode((), 0.0)
+    for bank in banks:
         bank.root = root
     singletons = any(bank._factor > 0.0 for bank in banks)
     empty = oracle.value(()) if singletons else 0.0
@@ -283,7 +280,7 @@ def _pass(stream, instance: RegularizedInstance, banks: list[ThresholdBank],
         singleton = empty + oracle.node_gain(root.state, u, ()) if singletons else 0.0
         computed = sum(bank.step(u, instance, singleton) for bank in banks)
         if diagnostics is not None:
-            max_stored = max(max_stored, sum(b.stored_elements() for b in banks))
+            max_stored = max(max_stored, sum(len(c.S) for b in banks for c in b.copies.values()))
             max_copies = max(max_copies, sum(len(b.copies) for b in banks))
             per_element_marginals.append(computed)
     if diagnostics is not None:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from regsubmax.streaming import geometric_index_range
+from regsubmax.distributed import _M64, _mix64, _round_key
+from regsubmax.streaming import geometric_index_range, threshold_index_range
 
 KINDS = ("vertex-cover", "facility", "logdet", "coverage", "modular")
 
@@ -146,7 +147,7 @@ def eager_threshold_reference(stream, instance, r, eps) -> rs.Solution:
         score = factor * instance.oracle.value((u,)) - r * instance.cost[u]
         if score > 0 and score > best:
             best = score
-    window = rs.threshold_index_range(best, instance.k, r, eps)
+    window = threshold_index_range(best, instance.k, r, eps)
     sets: dict[int, list[int]] = {i: [] for i in window}
     for u in stream:
         for i in sorted(sets):
@@ -217,7 +218,7 @@ def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
             score = factors[j] * singleton - g.r * instance.cost[u]
             if score > 0.0 and score > best_single[j]:
                 best_single[j] = score
-            window = rs.threshold_index_range(best_single[j], k, g.r, eps)
+            window = threshold_index_range(best_single[j], k, g.r, eps)
             for i in [i for i in copies if i not in window]:
                 del copies[i]
             for i in window:
@@ -237,6 +238,12 @@ def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
         if bank_best.f_value > best.f_value:
             best = bank_best
     return best
+
+
+def machine_of(seed: int, round_index: int, element: int, m: int) -> int:
+    """One element's machine in Python ints: the reference for RoundAssignment.draw."""
+    x = _mix64(_round_key(seed, round_index) ^ ((element & _M64) + 0x8CB92BA72F3D8DD7))
+    return x % m
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import numpy as np
 import regsubmax as rs
 from regsubmax import datasets as ds
 from regsubmax import objectives as ob
+from regsubmax.modefinding import lambda_value
 from conftest import (KINDS, eager_threshold_reference, make_instance,
                       random_weak_instance, value_table,
                       worst_monotonicity_violation,
@@ -205,7 +206,7 @@ def test_criterion_08_weak_submodular_reduction():
         if not math.isfinite(rho_full):
             continue
         done += 1
-        corrected = value_table(lambda S: rs.lambda_value(inst, tuple(S)), n)
+        corrected = value_table(lambda S: lambda_value(inst, tuple(S)), n)
         sub = worst_submodularity_violation(corrected, n)
         if sub > 1e-9:
             fails.append(f"instance {done}: corrected function violates "

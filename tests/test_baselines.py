@@ -6,6 +6,7 @@ import pytest
 
 import regsubmax as rs
 from conftest import make_instance, sieve_reference, KINDS
+from regsubmax.baselines import brute_force_distorted
 
 
 def test_vanilla_greedy_three_node(three_node_cover):
@@ -149,16 +150,16 @@ def test_brute_force_matches_exhaustive_enumeration():
 def test_brute_force_distorted_budget_validation(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
-    rs.brute_force_distorted(inst, 1.0, 1.0, 0)  # k == 0 is allowed here
+    brute_force_distorted(inst, 1.0, 1.0, 0)  # k == 0 is allowed here
     with pytest.raises(ValueError):
-        rs.brute_force_distorted(inst, 1.0, 1.0, -1)
+        brute_force_distorted(inst, 1.0, 1.0, -1)
 
 
 def test_brute_force_distorted_three_node(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
     h = rs.approx_factor(1.0)
-    s, v = rs.brute_force_distorted(inst, a=h, b=1.0, k=1)
+    s, v = brute_force_distorted(inst, a=h, b=1.0, k=1)
     assert s == (0,)
     assert v == pytest.approx(3 * h - 1.0, abs=1e-12)
     assert v == pytest.approx(0.145898034, abs=1e-9)
@@ -167,7 +168,7 @@ def test_brute_force_distorted_three_node(three_node_cover):
 def test_brute_force_distorted_k_zero(three_node_cover):
     _, oracle, cost = three_node_cover
     inst = rs.RegularizedInstance(oracle, cost, 2)
-    s, v = rs.brute_force_distorted(inst, 1.0, 1.0, 0)
+    s, v = brute_force_distorted(inst, 1.0, 1.0, 0)
     assert s == ()
     assert v == 0.0
 

@@ -10,7 +10,8 @@ import regsubmax.datasets as ds
 from conftest import make_instance
 from regsubmax.core import checked_scalar
 from regsubmax.experiments import ExperimentConfig
-from regsubmax.streaming import geometric_index_range
+from regsubmax.baselines import brute_force_distorted
+from regsubmax.streaming import geometric_index_range, threshold_index_range
 
 
 def test_modular_cost_basics():
@@ -68,7 +69,7 @@ SCALAR_ENTRY_POINTS = {
     "geometric_index_range-base":
         (lambda x: geometric_index_range(1.0, 8.0, x), "base", float, 2.0),
     "threshold_index_range-eps":
-        (lambda x: rs.threshold_index_range(1.0, 2, 1.0, x), "eps", float, 0.5),
+        (lambda x: threshold_index_range(1.0, 2, 1.0, x), "eps", float, 0.5),
     "ThresholdBank-k": (lambda x: rs.ThresholdBank(1.0, x, 0.1), "budget k", int, 3),
     "threshold_streaming-tau":
         (lambda x: rs.threshold_streaming([0, 1], _INST, 1.0, x), "tau", float, -10.0),
@@ -96,7 +97,7 @@ SCALAR_ENTRY_POINTS = {
     "random_digraph-n": (lambda x: ds.random_digraph(x, 0.5), "n", int, 1),
     "random_digraph-p": (lambda x: ds.random_digraph(4, x), "edge probability p", float, 1.0),
     "brute_force_distorted-k":
-        (lambda x: rs.brute_force_distorted(_INST, 1.0, 1.0, x), "budget k", int, 0),
+        (lambda x: brute_force_distorted(_INST, 1.0, 1.0, x), "budget k", int, 0),
     "brute_force_tau-eps": (lambda x: rs.brute_force_tau(_INST, 1.0, x), "eps", float, 0.0),
     "brute_force_tau-c": (lambda x: rs.brute_force_tau(_INST, 1.0, 0.1, x), "c", float, 1.0),
     "check_gamma_weak-samples":

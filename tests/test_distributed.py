@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from conftest import make_instance, KINDS
+from conftest import machine_of, make_instance, KINDS
 
 
 def test_distorted_greedy_three_node(three_node_cover):
@@ -54,18 +54,18 @@ def test_distorted_greedy_guarantee_random():
 
 
 def test_machine_assignment_range_and_determinism():
-    a = [rs.machine_of(9, 2, e, 5) for e in range(200)]
-    b = [rs.machine_of(9, 2, e, 5) for e in range(200)]
+    a = [machine_of(9, 2, e, 5) for e in range(200)]
+    b = [machine_of(9, 2, e, 5) for e in range(200)]
     assert a == b
     assert all(0 <= x < 5 for x in a)
     # different rounds reshuffle elements
-    c = [rs.machine_of(9, 3, e, 5) for e in range(200)]
+    c = [machine_of(9, 3, e, 5) for e in range(200)]
     assert a != c
 
 
 def test_machine_assignment_is_roughly_uniform():
     m = 4
-    counts = Counter(rs.machine_of(123, 0, e, m) for e in range(40000))
+    counts = Counter(machine_of(123, 0, e, m) for e in range(40000))
     expect = 40000 / m
     sigma = math.sqrt(40000 * (1 / m) * (1 - 1 / m))
     for i in range(m):
@@ -77,7 +77,7 @@ def test_machine_assignment_is_roughly_uniform():
     (-3, 1, 2), (2**70 + 11, 3, 2**33 + 1)])
 def test_round_assignment_matches_scalar_machine_of(seed, round_index, m):
     asg = rs.RoundAssignment.draw(n=300, m=m, seed=seed, round_index=round_index)
-    assert asg.machines.tolist() == [rs.machine_of(seed, round_index, u, m)
+    assert asg.machines.tolist() == [machine_of(seed, round_index, u, m)
                                      for u in range(300)]
     assert asg.shard(1).tolist() == [u for u in range(300) if asg.machines[u] == 1]
 

@@ -143,6 +143,17 @@ def test_run_experiment_deterministic_modulo_wall(digraph_file):
     assert strip(a) == strip(b)
 
 
+def test_run_experiment_runs_every_algorithm_at_eps_one_half(digraph_file):
+    # eps = 1/2 is the edge of the ratio grid, which is empty there
+    algos = tuple(sorted(set(ALGORITHMS) - {"brute-force"}))
+    rows, round_rows = run_experiment(base_config(digraph_file, algos=algos, ks=(3,),
+                                                  eps=0.5))
+    assert [r.algorithm for r in rows] == list(algos)
+    streamed = next(r for r in rows if r.algorithm == "distorted-streaming")
+    assert (streamed.f_value, streamed.oracle_calls) == (0.0, 1)
+    assert len(round_rows) == 2  # the distributed cell's two rounds
+
+
 def test_run_experiment_writes_csv_and_rounds_sidecar(digraph_file, tmp_path):
     out = tmp_path / "res.csv"
     cfg = base_config(digraph_file, algos=("distributed",), ks=(3,),
@@ -377,6 +388,20 @@ def test_slc_mode_rejects_a_cost_file(tmp_path, capsys):
                                            "apply to slc-mode: its cost is the kernel's\n")
     assert main(["run", "--dataset", str(kernel), "--objective", "slc-mode",
                  "--algo", "greedy", "--k", "3"]) == 0
+
+
+@pytest.mark.parametrize("objective,line", [("facility-location", "1.0"),
+                                             ("saturating-coverage", "0,0,1.0")])
+def test_cli_validate_needs_two_elements(objective, line, tmp_path, capsys):
+    # one element leaves no (S, u, v) triple to sample
+    dataset = tmp_path / "one.csv"
+    dataset.write_text(line + "\n")
+    rc = main(["validate", "--dataset", str(dataset), "--objective", objective])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("regsubmax: error: validate needs at least two elements "
+                            "to sample, got 1\n")
+    assert captured.out == ""
 
 
 def test_cli_validate_requires_dataset(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from regsubmax.modefinding import EXHAUSTIVE_LIMIT
+from regsubmax.modefinding import EXHAUSTIVE_LIMIT, lambda_value
 from conftest import (ValueOnly, random_weak_instance, value_table,
                       worst_monotonicity_violation,
                       worst_submodularity_violation)
@@ -31,11 +31,11 @@ def test_weak_instance_validation():
 
 def test_lambda_value_subtracts_quadratic_penalty():
     inst = two_point_instance()
-    assert rs.lambda_value(inst, ()) == 0.0
-    assert rs.lambda_value(inst, (0,)) == 1.0
-    assert rs.lambda_value(inst, (0, 1)) == pytest.approx(2.0)  # 2.5 - 0.5
+    assert lambda_value(inst, ()) == 0.0
+    assert lambda_value(inst, (0,)) == 1.0
+    assert lambda_value(inst, (0, 1)) == pytest.approx(2.0)  # 2.5 - 0.5
     # duplicate ids collapse before sizing the penalty
-    assert rs.lambda_value(inst, (0, 0, 1)) == pytest.approx(2.0)
+    assert lambda_value(inst, (0, 0, 1)) == pytest.approx(2.0)
 
 
 def test_derived_cost_examples():
@@ -137,7 +137,7 @@ def test_surrogate_offset_branch_keeps_f_unshifted_in_argmax():
     reg = rs.surrogate_instance(inst, 2)
     # f(S) = corrected(S) + offset, so argmax over S is argmax of corrected
     f_by_set = {S: reg.f(S) for S in [(), (0,), (1,), (0, 1)]}
-    lam_by_set = {S: rs.lambda_value(inst, S) for S in f_by_set}
+    lam_by_set = {S: lambda_value(inst, S) for S in f_by_set}
     assert max(f_by_set, key=f_by_set.get) == max(lam_by_set, key=lam_by_set.get)
     for S in f_by_set:
         assert f_by_set[S] == pytest.approx(lam_by_set[S] + oracle.offset)
@@ -348,3 +348,12 @@ def test_sampled_mode_needs_a_positive_sample_count():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="^samples must be a finite int in"):
             rs.check_gamma_weak(inst, mode="sampled", samples=samples)
+
+
+def test_sampled_mode_passes_one_element_like_exhaustive():
+    # one element leaves no (S, u, v) triple: a vacuous pass, not a numpy error
+    inst = rs.WeakSubmodularInstance(lambda S: 0.0, 0.0, 1)
+    assert rs.check_gamma_weak(inst, "exhaustive") == (True, 0.0)
+    assert rs.check_gamma_weak(inst, "sampled", 10) == (True, 0.0)
+    with pytest.raises(ValueError, match="^samples must be a finite int in"):
+        rs.check_gamma_weak(inst, "sampled", 0)

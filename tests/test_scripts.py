@@ -36,9 +36,20 @@ def test_public_names_resolve_once():
         assert hasattr(rs, name), name
     for gone in ("vertex_cover_value", "facility_location_value", "logdet_value",
                  "saturating_coverage_value", "slc_log_density", "reservoir_update",
-                 "ThresholdParams"):
+                 "ThresholdParams", "RatioGuess", "RoundMetrics", "machine_of",
+                 "lambda_value", "threshold_index_range", "brute_force_distorted"):
         assert gone not in rs.__all__
         assert not hasattr(rs, gone)
+
+
+@pytest.mark.parametrize("module,name", [
+    ("regsubmax.streaming", "RatioGuess"), ("regsubmax.distributed", "RoundMetrics"),
+    ("regsubmax.modefinding", "lambda_value"),
+    ("regsubmax.streaming", "threshold_index_range"),
+    ("regsubmax.baselines", "brute_force_distorted"),
+    ("conftest", "machine_of")])  # the test reference for RoundAssignment.draw
+def test_names_off_the_package_root_import_from_their_module(module, name):
+    assert hasattr(importlib.import_module(module), name)
 
 
 def _bench_script():

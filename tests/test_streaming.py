@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsubmax as rs
-from regsubmax.streaming import FixedThreshold, SetNode, geometric_index_range
+from regsubmax.streaming import (FixedThreshold, SetNode, geometric_index_range,
+                                 threshold_index_range)
 from conftest import (eager_threshold_reference, ladder_reference, make_instance,
                       sieve_reference, threshold_reference, KINDS)
 
@@ -156,10 +157,10 @@ def test_geometric_index_range_basics():
 
 
 def test_threshold_index_range_examples():
-    assert list(rs.threshold_index_range(0.145898, 2, 1.0, 0.5)) == [-6, -5, -4, -3]
-    assert list(rs.threshold_index_range(1.0, 1, 1.0, 1.0)) == [0, 1]
-    assert list(rs.threshold_index_range(0.0, 2, 1.0, 0.5)) == []
-    assert list(rs.threshold_index_range(-3.0, 2, 1.0, 0.5)) == []
+    assert list(threshold_index_range(0.145898, 2, 1.0, 0.5)) == [-6, -5, -4, -3]
+    assert list(threshold_index_range(1.0, 1, 1.0, 1.0)) == [0, 1]
+    assert list(threshold_index_range(0.0, 2, 1.0, 0.5)) == []
+    assert list(threshold_index_range(-3.0, 2, 1.0, 0.5)) == []
 
 
 def test_threshold_bank_rejects_non_positive_r():
@@ -472,6 +473,19 @@ def test_distorted_streaming_empty_stream():
     sol = rs.distorted_streaming([], inst, 0.1, 0.1)
     assert sol.elements == ()
     assert sol.f_value == 0.0
+
+
+@pytest.mark.parametrize("stream", [[], [0], [1, 0, 2]])
+def test_distorted_streaming_empty_grid_streams_to_the_empty_set(stream):
+    # eps = 1/2 leaves no ratio guess: no bank, so no singleton and no marginal
+    inst, counter = rs.RegularizedInstance(
+        rs.ModularOracle([3.0, 1.0, 2.0]), rs.ModularCost(np.full(3, 0.1)), 2).counted()
+    assert rs.ratio_grid(0.5, 0.2) == []
+    sol = rs.distorted_streaming(stream, inst, 0.5, 0.2)
+    assert sol.elements == () and sol.f_value == 0.0
+    assert (counter.value_calls, counter.marginal_calls) == (1, 0)
+    with pytest.raises(ValueError, match="repeated"):
+        rs.distorted_streaming([1, 0, 1], inst, 0.5, 0.2)
 
 
 def test_distorted_streaming_single_pass_budget():
