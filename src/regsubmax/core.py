@@ -169,10 +169,7 @@ class ModularCost:
             self.costs, "cost vector", "1-D", nonneg=True))
 
     def __call__(self, S: ElementSet) -> float:
-        idx = list(S)
-        if not idx:
-            return 0.0
-        return float(self.costs[idx].sum())
+        return float(self.costs[list(S)].sum())
 
     def __getitem__(self, u: int) -> float:
         return float(self.costs[u])

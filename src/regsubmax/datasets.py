@@ -73,9 +73,11 @@ def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
     checked_scalar(n, "n", int, "[1, inf)")
     checked_scalar(p, "edge probability p", float, "[0, 1]")
     rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, False)
-    return DirectedGraph(csr(n, *np.nonzero(mask)), tuple(range(n)))
+    step = max(1, 2**22 // n)  # rows per draw; in sequence they give one n x n draw's numbers
+    flat = np.concatenate([np.flatnonzero(rng.random((min(step, n - lo), n)) < p) + lo * n
+                           for lo in range(0, n, step)])
+    flat = flat[flat % (n + 1) != 0]  # i * n + i is the diagonal
+    return DirectedGraph(csr(n, flat // n, flat % n), tuple(range(n)))
 
 
 def load_matrix_csv(path, header: bool = False) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (ElementSet, ModularCost, RegularizedInstance, SubmodularOracle,
                    checked_array, checked_scalar)
-from .objectives import grow_cholesky
+from .objectives import grow_cholesky, half_logdet
 
 EXHAUSTIVE_LIMIT = 10
 VIOLATION_TOL = 1e-9  # largest violation ``check_gamma_weak`` forgives
@@ -207,14 +207,7 @@ class SlcInstance:
         idx = sorted(set(S))
         if len(idx) > self.d:
             return -math.inf
-        if not idx:
-            return 0.0
-        sub = self.L[np.ix_(idx, idx)]
-        try:
-            chol = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError:
-            return -math.inf
-        return float(np.log(np.diag(chol)).sum())
+        return half_logdet(self.L[np.ix_(idx, idx)])
 
     def weak_instance(self, gamma: float) -> WeakSubmodularInstance:
         return WeakSubmodularInstance(self.log_density, gamma, self.n)

@@ -196,26 +196,32 @@ def similarity_from_features(X: np.ndarray) -> np.ndarray:
 
 
 class FacilityLocationOracle(SubmodularOracle):
-    """Facility location; similarities are non-negative, or a negative row
-    maximum would put ``value(S)`` below ``value(()) == 0``."""
+    """Facility location: rows of M are clients, columns are facilities, and
+    g(S) is the mean over clients of the best similarity in S.  Non-negative,
+    or a negative row maximum would put ``value(S)`` below ``value(()) == 0``."""
 
     def __init__(self, M: np.ndarray):
-        self.M = checked_array(M, "similarity matrix", "square", nonneg=True)
-        self.n = self.M.shape[0]
+        self.M = checked_array(M, "similarity matrix", "2-D", nonneg=True)
+        self.n = self.M.shape[1]
+
+    def _best(self, S: ElementSet) -> np.ndarray:
+        """Each client's best similarity to a facility in S, 0 for the empty S."""
+        return self.M[:, sorted(set(S))].max(axis=1, initial=0.0)
 
     def value(self, S: ElementSet) -> float:
-        """Average over rows of the best similarity to a chosen column."""
-        cols = sorted(set(S))
-        if not cols:
-            return 0.0
-        return float(self.M[:, cols].max(axis=1).mean())
+        return float(self._best(S).mean())
 
     def marginal(self, u: int, S: ElementSet) -> float:
-        cols = sorted(set(S))
-        if not cols:
-            return float(self.M[:, u].mean())
-        cur = self.M[:, cols].max(axis=1)
-        return float(np.maximum(self.M[:, u] - cur, 0.0).mean())
+        return float(np.maximum(self.M[:, u] - self._best(S), 0.0).mean())
+
+
+def half_logdet(A: np.ndarray) -> float:
+    """1/2 log det A from numpy's Cholesky, -inf when A is not positive definite."""
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return -math.inf
+    return float(np.log(np.diag(L)).sum())
 
 
 def grow_cholesky(st, row: np.ndarray, u: int) -> None:
@@ -247,15 +253,10 @@ class LogDetOracle(SubmodularOracle):
     def value(self, S: ElementSet) -> float:
         """log det(I + alpha * M_S) via Cholesky on the principal submatrix."""
         idx = sorted(set(S))
-        if not idx:
-            return 0.0
-        A = np.eye(len(idx)) + self.alpha * self.M[np.ix_(idx, idx)]
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMatrixError(
-                f"I + alpha*M_S not positive definite for S={idx}") from exc
-        return float(2.0 * np.log(np.diag(L)).sum())
+        half = half_logdet(np.eye(len(idx)) + self.alpha * self.M[np.ix_(idx, idx)])
+        if half == -math.inf:
+            raise DegenerateMatrixError(f"I + alpha*M_S not positive definite for S={idx}")
+        return 2.0 * half
 
     def empty(self):
         """``grow_cholesky`` state of A = I + alpha * M, so marginal(u, S) =
@@ -315,10 +316,7 @@ class ModularOracle(SubmodularOracle):
         self.n = self.weights.shape[0]
 
     def value(self, S: ElementSet) -> float:
-        idx = list(dict.fromkeys(S))
-        if not idx:
-            return 0.0
-        return float(self.weights[idx].sum())
+        return float(self.weights[list(dict.fromkeys(S))].sum())
 
     def marginal(self, u: int, S: ElementSet) -> float:
         return 0.0 if u in set(S) else float(self.weights[u])
@@ -356,18 +354,10 @@ class ReservoirEstimator:
 def reservoir_facility_estimate(est: ReservoirEstimator,
                                 similarity_rows: Callable[[int], np.ndarray],
                                 S: ElementSet) -> float:
-    """Facility-location estimate from the sampled rows only.
-
-    Computes mean over reservoir items i of max_{j in S} M[i, j]; unbiased
-    for the exact average because the reservoir is uniform.
-    """
+    """Facility location with the sampled items' similarity rows as clients:
+    the mean over reservoir items i of max_{j in S} M[i, j], unbiased for
+    the exact average because the reservoir is uniform."""
     if not est.items:
         raise ValueError("reservoir is empty; estimate undefined")
-    cols = list(set_ids(S, len(similarity_rows(est.items[0]))))
-    if not cols:
-        return 0.0
-    total = 0.0
-    for i in est.items:
-        row = similarity_rows(i)
-        total += float(np.max(row[cols]))
-    return total / len(est.items)
+    rows = FacilityLocationOracle(np.array([similarity_rows(i) for i in est.items]))
+    return rows.value(set_ids(S, rows.n))

@@ -7,6 +7,7 @@ import pytest
 
 import regsubmax.datasets as ds
 from regsubmax import DirectedGraph
+from regsubmax.objectives import csr
 
 
 def test_load_edge_list_basic(tmp_path):
@@ -69,6 +70,18 @@ def test_random_digraph_edge_density():
     m = sum(g.out_degrees())
     expect = 0.05 * 100 * 99
     assert abs(m - expect) < 5 * np.sqrt(expect)
+
+
+@pytest.mark.parametrize("n, p, seed", [(2500, 0.004, 3), (300, 0.02, 7)])
+def test_random_digraph_row_blocks_give_the_one_shot_graph(n, p, seed, tmp_path):
+    # n = 2500 draws two row blocks; the file is the one an n x n draw writes
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    one_shot = DirectedGraph(csr(n, *np.nonzero(mask)), tuple(range(n)))
+    ds.write_edge_list(one_shot, tmp_path / "one_shot.txt")
+    ds.write_edge_list(ds.random_digraph(n, p, seed), tmp_path / "blocks.txt")
+    assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "one_shot.txt").read_bytes()
 
 
 def test_matrix_csv_round_trip(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsubmax as rs
+from regsubmax.objectives import half_logdet
 from conftest import (KINDS, ValueOnly, make_instance, random_digraph_dense, value_table,
                       worst_monotonicity_violation,
                       worst_submodularity_violation)
@@ -227,6 +228,60 @@ def test_reservoir_facility_estimate():
     empty = rs.ReservoirEstimator(2, seed=0)
     with pytest.raises(ValueError):
         rs.reservoir_facility_estimate(empty, lambda i: M[i], [0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reservoir_estimate_is_facility_location_on_the_sampled_rows(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    M = rs.similarity_from_features(rng.normal(size=(n, 2)))
+    for capacity in (1, 9, 31):
+        est = rs.ReservoirEstimator(capacity, seed=seed)
+        for i in rng.permutation(n):
+            est.update(int(i))
+        sampled = rs.FacilityLocationOracle(np.stack([M[i] for i in est.items]))
+        for S in ([], [5], rng.choice(n, 6, replace=False).tolist()):
+            assert rs.reservoir_facility_estimate(est, lambda i: M[i], S) == sampled.value(S)
+
+
+@pytest.mark.parametrize("bad, rule", [(-0.5, "non-negative"), (np.nan, "finite")])
+def test_reservoir_estimate_checks_the_sampled_rows(bad, rule):
+    M = np.array([[1.0, 0.5], [bad, 1.0]])
+    est = rs.ReservoirEstimator(2).update(0).update(1)
+    with pytest.raises(ValueError, match=f"^similarity matrix must be {rule}"):
+        rs.reservoir_facility_estimate(est, lambda i: M[i], [0])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2, 7), (1, 4)])
+def test_facility_location_rows_are_clients_and_columns_facilities(shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    M = rng.uniform(0.0, 1.0, shape)
+    oracle = rs.FacilityLocationOracle(M)
+    assert oracle.n == shape[1]
+
+    def brute(S):  # mean over clients of the best similarity among S, 0 for S empty
+        return sum(max([0.0] + [M[i, j] for j in S]) for i in range(shape[0])) / shape[0]
+
+    for S in ([], [0], [shape[1] - 1, 0], list(range(shape[1]))):
+        assert oracle.value(S) == pytest.approx(brute(S), rel=1e-12, abs=1e-15)
+        for u in range(shape[1]):
+            assert oracle.marginal(u, S) == pytest.approx(brute(S + [u]) - brute(S),
+                                                          rel=1e-12, abs=1e-15)
+
+
+def test_half_logdet_and_the_log_dets_built_on_it():
+    assert half_logdet(np.zeros((0, 0))) == 0.0
+    assert half_logdet(np.diag([4.0, 9.0])) == pytest.approx(math.log(6.0))
+    for A in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 0.0]), -np.eye(1)):
+        assert half_logdet(A) == -math.inf
+    oracle = rs.LogDetOracle(np.diag([1.0, -2.0, 1.0]))
+    assert oracle.value([2, 0]) == pytest.approx(2.0 * math.log(2.0))
+    with pytest.raises(rs.DegenerateMatrixError,
+                       match=r"^I \+ alpha\*M_S not positive definite for S=\[0, 1\]$"):
+        oracle.value([1, 0, 1])
+    slc = rs.SlcInstance(np.diag([4.0, 1.0, 9.0]), 2)
+    assert slc.log_density((2, 0)) == pytest.approx(math.log(6.0))
+    assert slc.log_density((0, 1, 2)) == -math.inf
 
 
 @settings(max_examples=150, deadline=None)
