@@ -209,10 +209,10 @@ class FacilityLocationOracle(SubmodularOracle):
         return self.M[:, sorted(set(S))].max(axis=1, initial=0.0)
 
     def value(self, S: ElementSet) -> float:
-        return float(self._best(S).mean())
+        return float(self._best(S).sum()) / self.M.shape[0]
 
     def marginal(self, u: int, S: ElementSet) -> float:
-        return float(np.maximum(self.M[:, u] - self._best(S), 0.0).mean())
+        return float(np.maximum(self.M[:, u] - self._best(S), 0.0).sum()) / self.M.shape[0]
 
 
 def half_logdet(A: np.ndarray) -> float:

@@ -11,20 +11,23 @@ sweeps a small grid of target quality ratios, each mapping to a trade-off
 parameter ``r``, and keeps the best output across the grid.
 
 Every threshold stream is one pass over the elements, each named at most
-once, stepping all its banks: g({u}) is evaluated once per element, and
-never for a fixed threshold.  Sets grow in stream order, each a SetNode: its
-parent's set plus one element, with its f and oracle state.  A copy is an
-integer exponent mapped to a node; a node makes at most one child per
-element and all banks share one root, so equal sets are one node and an
-element costs one marginal, read from the state, per distinct set with room.
-The finish evaluates only sets whose f is within rounding of the best.
+once: g({u}) is evaluated once per element, never for a fixed threshold.
+Sets grow in stream order from one shared root, each a SetNode made once
+per parent and element, so equal sets are one node.  A copy is an exponent
+mapped to a node; a node's copies in one bank are consecutive, as an accept
+moves a prefix of them to the child, the window drops only low exponents
+and new copies join at the top.  One live table maps each node with room,
+the only nodes holding a state, to flat ``bank, lo, hi, bar`` runs: copies
+lo to hi - 1 counted from the bank's first, and the threshold at lo, which
+most runs fail.  An element costs one marginal per node in the table; the
+finish evaluates only sets whose f is within rounding of the best.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 from .core import (RegularizedInstance, Solution, best_solution, checked_scalar,
@@ -56,9 +59,7 @@ def cost_multiplier(r: float) -> float:
 def _snap(x: float, rounding) -> int:
     """``rounding(x)``, or the nearest integer when x is within _SNAP of it."""
     r = round(x)
-    if abs(x - r) <= _SNAP:
-        return int(r)
-    return rounding(x)
+    return int(r) if abs(x - r) <= _SNAP else rounding(x)
 
 
 def geometric_index_range(lo: float, hi: float, base: float) -> range:
@@ -71,12 +72,10 @@ def geometric_index_range(lo: float, hi: float, base: float) -> range:
     if lo <= 0.0 or hi <= 0.0 or hi < lo or math.isinf(hi):
         return range(0)
     lb = math.log(base)
-    return range(_snap(math.log(lo) / lb, math.ceil),
-                 _snap(math.log(hi) / lb, math.floor) + 1)
+    return range(_snap(math.log(lo) / lb, math.ceil), _snap(math.log(hi) / lb, math.floor) + 1)
 
 
-def threshold_index_range(best_single: float, k: int, r: float,
-                          eps: float) -> range:
+def threshold_index_range(best_single: float, k: int, r: float, eps: float) -> range:
     """Exponent window for useful threshold guesses given the running anchor.
 
     ``best_single`` is the largest singleton score factor*g({u}) - r*cost(u)
@@ -96,17 +95,13 @@ class SetNode:
     """One set grown in stream order, shared by every ladder copy holding it.
 
     ``S`` is the set as a tuple, ``f`` the f-gains summed along its path and
-    ``state`` the oracle's ``node_state`` of ``S`` (None at the root).  ``u``
-    is the element last offered, ``gain`` its ``node_gain`` against ``S``,
-    and ``child`` the node ``S + (u,)`` once a copy takes ``u``.
+    ``state`` the oracle's ``node_state`` of ``S`` while the node is in a live
+    table; None at the root, for a full child and once the pass ends.
     """
 
     S: tuple[int, ...]
     f: float
     state: object = None
-    u: int | None = field(init=False, default=None)
-    gain: float = field(init=False, default=0.0)
-    child: SetNode | None = field(init=False, default=None)
 
 
 class ThresholdBank:
@@ -119,30 +114,27 @@ class ThresholdBank:
     small without changing any output.
 
     The window is a function of the anchor alone, so copies are retired and
-    created only when the anchor rises.  ``copies`` maps each exponent to
-    the :class:`SetNode` of its set; a new copy starts at ``root``, the
-    empty set, which the pass shares across the banks it steps.
-    ``groups`` lists, for each node with room, its copies' exponents in
-    ascending order.  An element costs one marginal per node, one surplus
-    per group, and one bisection for the prefix of exponents whose
-    threshold the surplus clears: those copies move to the node's child.
+    created only when the anchor rises.  ``copies`` maps the window's
+    exponents from ``first`` up to the :class:`SetNode` of their sets; a new
+    copy starts at ``root``, the empty set all banks share.  :meth:`step`
+    steps the bank's own table ``live``; a pass shares one across its banks.
 
-    This is the one accept rule of the package: the CLI's threshold
-    ladder, fixed-threshold streaming, sieve and distorted streaming all
-    run on it, through one pass over the stream.  A variant overrides
-    ``window`` (the exponents worth keeping for the current anchor) and
-    ``threshold`` (the surplus copy i needs at a node), which must not
-    decrease with i, and may set ``_factor``, the anchor's weight on g({u}).
+    This is the package's one accept rule, for the CLI's threshold ladder,
+    fixed-threshold streaming, sieve and distorted streaming.  A variant
+    overrides ``window`` (the exponents kept for the current anchor) and
+    ``threshold`` (copy i's bar at a node, fixed by i, node.S and node.f,
+    not decreasing in i), and may set ``_factor``, the anchor's g({u}) weight.
     """
+
+    root = SetNode((), 0.0)
 
     def __init__(self, r: float, k: int, eps: float):
         self.r = checked_scalar(r, "trade-off r", float, "(0, inf)")
         self.k = checked_scalar(k, "budget k", int, "[1, inf)")
         self.eps = checked_scalar(eps, "eps", float, "(0, inf)")
         self.best_single = -math.inf
-        self.root = SetNode((), 0.0)
         self.copies: dict[int, SetNode] = {}
-        self.groups: dict[SetNode, list[int]] = {}
+        self.live: dict[SetNode, list] = {}
         # The anchor is the singleton score _factor * g({u}) - r * cost(u);
         # an element's surplus is marginal(u, S) - multiplier * cost(u).
         self._factor = approx_factor(r)
@@ -156,51 +148,12 @@ class ThresholdBank:
         """Surplus copy i needs to take an element into ``node``'s set."""
         return (1.0 + self.eps) ** i
 
-    def step(self, u: int, instance: RegularizedInstance,
-             singleton_value: float) -> int:
-        """Advance the bank by one stream element whose g({u}) is given.
-
-        Returns the number of marginals it computed: nodes that another
-        bank already asked about ``u`` reuse that bank's.
-        """
-        cost = instance.cost[u]
-        score = self._factor * singleton_value - self.r * cost
-        # A non-positive anchor opens no window either way; keeping -inf
-        # until the first positive score makes that explicit.
-        if score > 0.0 and score > self.best_single:
-            self.best_single = score
-            self.copies = {i: self.copies.get(i, self.root) for i in self.window()}
-            self.groups = {}
-            for i, node in self.copies.items():
-                if len(node.S) < self.k:
-                    self.groups.setdefault(node, []).append(i)
-        oracle = instance.oracle
-        computed = 0
-        groups = {}
-        for node, exps in self.groups.items():
-            if node.u != u:
-                node.u, node.gain, node.child = u, oracle.node_gain(node.state, u, node.S), None
-                computed += 1
-            surplus = node.gain - self.multiplier * cost
-            # Most groups reject outright; `not >=` also rejects a NaN surplus.
-            if not surplus >= self.threshold(exps[0], node):
-                groups[node] = exps
-                continue
-            j = bisect_right(exps, surplus, 1, key=lambda i: self.threshold(i, node))
-            if node.child is None:
-                node.child = SetNode(node.S + (u,), node.f + (node.gain - cost),
-                                     oracle.node_state(node.state, u))
-            for i in exps[:j]:
-                self.copies[i] = node.child
-            if len(node.child.S) < self.k:
-                groups[node.child] = exps[:j]
-            if j < len(exps):
-                groups[node] = exps[j:]
-        self.groups = groups
-        return computed
+    def step(self, u: int, instance: RegularizedInstance, singleton_value: float) -> int:
+        """Advance this bank alone by one element; returns the marginals computed."""
+        return _step([self], self.live, u, instance, singleton_value)
 
     def run(self, stream, instance: RegularizedInstance, label: str) -> Solution:
-        """Step through the whole stream, then finish."""
+        """Step through the whole stream, then finish; the pass leaves no state to step on."""
         _pass(stream, instance, [self], None)
         return self.finish(instance, label)
 
@@ -221,12 +174,74 @@ class ThresholdBank:
                 yield Solution.evaluate(instance, node.S, f"{label}[i={i}]")
             below = node.S
 
-    def finish(self, instance: RegularizedInstance,
-               label: str = "threshold-bank") -> Solution:
+    def finish(self, instance: RegularizedInstance, label: str = "threshold-bank") -> Solution:
         """Best collected set across surviving copies, or the empty set."""
-        return best_solution(chain(
-            [Solution.evaluate(instance, (), f"{label}[empty]")],
-            self.candidates(instance, label)))
+        return best_solution(chain([Solution.evaluate(instance, (), f"{label}[empty]")],
+                                   self.candidates(instance, label)))
+
+
+def _fill(live: dict, banks: list[ThresholdBank]) -> None:
+    """Refill the live table in place, one pass over each bank's consecutive copies."""
+    live.clear()
+    for bank in banks:
+        at, bank.first = None, next(iter(bank.copies), 0)
+        for p, node in enumerate(chain(bank.copies.values(), [None])):
+            if node is not at:
+                if at is not None and len(at.S) < bank.k:
+                    bar = bank.threshold(bank.first + lo, at)
+                    live.setdefault(at, []).extend((bank, lo, p, bar))
+                at, lo = node, p
+
+
+def _step(banks: list[ThresholdBank], live: dict, u: int,
+          instance: RegularizedInstance, singleton_value: float) -> int:
+    """Advance the banks by one element over their live table, refilled if an
+    anchor rose; returns the marginals computed, one per node in it."""
+    cost, rose = instance.cost[u], False
+    for bank in banks:
+        score = bank._factor * singleton_value - bank.r * cost
+        # A non-positive anchor opens no window either way; keeping -inf
+        # until the first positive score makes that explicit.
+        if score > 0.0 and score > bank.best_single:
+            bank.best_single = score
+            bank.copies = {i: bank.copies.get(i, bank.root) for i in bank.window()}
+            rose = True
+    if rose:
+        _fill(live, banks)
+    oracle, computed, changed = instance.oracle, len(live), []
+    for node, runs in live.items():
+        gain = oracle.node_gain(node.state, u, node.S)
+        child = spent = None
+        for n in range(0, len(runs), 4):
+            bank = runs[n]
+            surplus = gain - bank.multiplier * cost
+            # Most runs reject outright; `not >=` also rejects a NaN surplus.
+            if not surplus >= runs[n + 3]:
+                continue
+            lo, hi, first = runs[n + 1], runs[n + 2], bank.first
+            # Whole runs move often (a new anchor's element takes the root's copies).
+            j = hi if surplus >= bank.threshold(first + hi - 1, node) else bisect_right(
+                range(hi - 1), surplus, lo + 1, key=lambda p: bank.threshold(first + p, node))
+            if child is None:
+                child, moved = SetNode(node.S + (u,), node.f + (gain - cost)), []
+            for i in range(first + lo, first + j):
+                bank.copies[i] = child
+            if len(child.S) < bank.k:
+                moved += bank, lo, j, bank.threshold(first + lo, child)
+            runs[n + 1], runs[n + 3] = j, bank.threshold(first + j, node) if j < hi else None
+            spent = spent or j == hi
+        if spent:
+            runs[:] = [x for n in range(0, len(runs), 4) if runs[n + 1] < runs[n + 2]
+                       for x in runs[n:n + 4]]
+        if child is not None:
+            changed.append((node, child, moved))
+    for node, child, moved in changed:
+        if moved:
+            child.state = oracle.node_state(node.state, u)
+            live[child] = moved
+        if not live[node]:
+            del live[node]
+    return computed
 
 
 class FixedThreshold(ThresholdBank):
@@ -241,18 +256,15 @@ class FixedThreshold(ThresholdBank):
         self.tau = checked_scalar(tau, "tau", float, "(-inf, inf)")
         self._factor = 0.0
         self.copies = {0: self.root}
-        self.groups = {self.root: [0]}
+        _fill(self.live, [self])
 
     def threshold(self, i: int, node: SetNode) -> float:
         return self.tau
 
 
-def threshold_streaming(stream, instance: RegularizedInstance, r: float,
-                        tau: float) -> Solution:
-    """Single pass with a known threshold tau at trade-off r.
-
-    The collected set wins a tie with the empty set.
-    """
+def threshold_streaming(stream, instance: RegularizedInstance, r: float, tau: float) -> Solution:
+    """One pass at a known threshold tau and trade-off r; a tie with the empty
+    set goes to the collected set."""
     bank = FixedThreshold(r, instance.k, tau)
     _pass(stream, instance, [bank], None)
     label = f"threshold-streaming[r={r:.6g},tau={tau:.6g}]"
@@ -262,27 +274,29 @@ def threshold_streaming(stream, instance: RegularizedInstance, r: float,
 
 def _pass(stream, instance: RegularizedInstance, banks: list[ThresholdBank],
           diagnostics: dict | None) -> None:
-    """Step every bank through the stream once, from one shared empty root.
+    """Step every bank through the stream once, over one live table.
 
     g({u}), g(()) plus u's gain at the root (g(()) need not be 0), is
     evaluated once per element, and only if some bank's anchor reads it.
-    ``diagnostics``, if a dict, gets the peak stored elements and copies
-    summed over the banks, and each element's marginal-call count.
+    The finish reads only ``node.S`` and ``node.f``, so the states go when
+    the pass ends.  ``diagnostics``, if a dict, gets the peak stored
+    elements and copies summed over the banks, and each element's marginals.
     """
-    oracle, root = instance.oracle, SetNode((), 0.0)
-    for bank in banks:
-        bank.root = root
+    oracle, live = instance.oracle, {}
+    _fill(live, banks)
     singletons = any(bank._factor > 0.0 for bank in banks)
     empty = oracle.value(()) if singletons else 0.0
     max_stored = max_copies = 0
     per_element_marginals: list[int] = []
     for u in stream_ids(stream, instance.n):
-        singleton = empty + oracle.node_gain(root.state, u, ()) if singletons else 0.0
-        computed = sum(bank.step(u, instance, singleton) for bank in banks)
+        singleton = empty + oracle.node_gain(None, u, ()) if singletons else 0.0
+        computed = _step(banks, live, u, instance, singleton)
         if diagnostics is not None:
             max_stored = max(max_stored, sum(len(c.S) for b in banks for c in b.copies.values()))
             max_copies = max(max_copies, sum(len(b.copies) for b in banks))
             per_element_marginals.append(computed)
+    for node in live:
+        node.state = None
     if diagnostics is not None:
         diagnostics.update(max_stored=max_stored, max_copies=max_copies,
                            per_element_marginals=per_element_marginals)
@@ -326,12 +340,10 @@ def ratio_grid(eps: float, delta: float) -> list[RatioGuess]:
     checked_scalar(delta, "delta", float, "(0, inf)")
     top = _snap(math.log(1.0 / (2.0 * eps)) / math.log(1.0 + delta), math.floor)
     entries = []
-    for i in range(top + 1):
-        ratio = eps * (1.0 + delta) ** i
-        if ratio >= 0.5:
-            continue
-        beta = beta_for_ratio(ratio)
-        entries.append(RatioGuess(ratio, beta, r_for_beta(beta)))
+    for ratio in (eps * (1.0 + delta) ** i for i in range(top + 1)):
+        if ratio < 0.5:
+            beta = beta_for_ratio(ratio)
+            entries.append(RatioGuess(ratio, beta, r_for_beta(beta)))
     return entries
 
 
@@ -340,10 +352,9 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
     """One pass over the stream, best output across the ratio grid.
 
     Each grid entry is a lazy ThresholdBank, and the one pass steps them
-    all from a shared root, so they share one singleton evaluation per
-    element and one marginal evaluation per distinct set.  An empty grid
-    (eps = 1/2) evaluates no singleton.  The banks' copies compete with a
-    single empty set.
+    all, so they share one singleton per element and one marginal per
+    distinct set.  An empty grid (eps = 1/2) evaluates no singleton.  The
+    banks' copies compete with a single empty set.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
     elements, peak copy counts, and per-element marginal-call counts (one

@@ -269,6 +269,20 @@ def test_facility_location_rows_are_clients_and_columns_facilities(shape):
                                                           rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(48, 48), (13, 13), (7, 30), (61, 5), (1, 3)])
+def test_facility_location_sums_to_the_floats_of_numpy_mean(shape):
+    # a sum and one division is how numpy's mean reduces, so no float moves
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    M = rng.uniform(0.0, 1.0, shape)
+    oracle = rs.FacilityLocationOracle(M)
+    for size in (0, 0, 1, 2, 3, 5):
+        S = [int(x) for x in rng.choice(shape[1], min(size, shape[1]), replace=False)]
+        best = M[:, S].max(axis=1, initial=0.0)
+        assert oracle.value(S) == float(best.mean())
+        for u in range(shape[1]):
+            assert oracle.marginal(u, S) == float(np.maximum(M[:, u] - best, 0.0).mean())
+
+
 def test_half_logdet_and_the_log_dets_built_on_it():
     assert half_logdet(np.zeros((0, 0))) == 0.0
     assert half_logdet(np.diag([4.0, 9.0])) == pytest.approx(math.log(6.0))

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsubmax as rs
-from regsubmax.streaming import (FixedThreshold, SetNode, geometric_index_range,
-                                 threshold_index_range)
+from regsubmax.baselines import SieveLadder
+from regsubmax.streaming import (FixedThreshold, SetNode, _fill, _step,
+                                 geometric_index_range, threshold_index_range)
 from conftest import (eager_threshold_reference, ladder_reference, make_instance,
                       sieve_reference, threshold_reference, KINDS)
 
@@ -64,7 +65,7 @@ def test_threshold_state_derived_multiplier():
     bank = FixedThreshold(1.0, 2, 0.3)
     assert bank.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
     # one copy, open at the empty root from the first element
-    assert bank.copies == {0: bank.root} and bank.groups == {bank.root: [0]}
+    assert bank.copies == {0: bank.root} and bank.live == {bank.root: [bank, 0, 1, 0.3]}
     assert bank.root.S == ()
     with pytest.raises(ValueError):
         FixedThreshold(1.0, 0, 0.3)
@@ -366,11 +367,9 @@ def test_copies_holding_equal_sets_hold_one_node():
         n = int(rng.integers(10, 30))
         inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(2, 5)))
         banks = [rs.ThresholdBank(g.r, inst.k, eps) for g in rs.ratio_grid(eps, delta)]
-        for bank in banks[1:]:
-            bank.root = banks[0].root
+        live = {}
         for u in (int(x) for x in rng.permutation(n)):
-            for bank in banks:
-                bank.step(u, inst, inst.oracle.value((u,)))
+            _step(banks, live, u, inst, inst.oracle.value((u,)))
             owner = {}
             for j, bank in enumerate(banks):
                 for node in bank.copies.values():
@@ -382,6 +381,95 @@ def test_copies_holding_equal_sets_hold_one_node():
                     within += node.S != () and first_bank == j
                     across += node.S != () and first_bank != j
     assert within > 0 and across > 0
+
+
+def test_live_table_holds_each_bank_as_contiguous_runs_of_its_open_copies():
+    rng = np.random.default_rng(67)
+    seen_runs = split = 0
+    for t in range(45):
+        n = int(rng.integers(6, 26))
+        k = 1 + t % 5
+        eps = (0.1, 0.2, 0.5)[t % 3]
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, k)
+        counted, counter = inst.counted()
+        banks = [rs.ThresholdBank(g.r, k, eps) for g in rs.ratio_grid(eps, 0.2)]
+        live = {}
+        for u in (int(x) for x in rng.permutation(n)):
+            before, nodes = counter.marginal_calls, len(live)
+            anchors = [b.best_single for b in banks]
+            computed = _step(banks, live, u, counted, inst.oracle.value((u,)))
+            assert computed == counter.marginal_calls - before
+            if anchors == [b.best_single for b in banks]:  # no refill: the table it walked
+                assert computed == nodes
+            assert computed == len(set().union(*(_offered_sets(b, u) for b in banks)))
+            held = {}
+            for node, flat in live.items():
+                assert len(node.S) < k
+                runs = list(zip(flat[::4], flat[1::4], flat[2::4], flat[3::4]))
+                assert 4 * len(runs) == len(flat)
+                assert len({id(bank) for bank, _, _, _ in runs}) == len(runs)
+                for bank, lo, hi, bar in runs:
+                    window = bank.window()
+                    assert 0 <= lo < hi <= len(window) == len(bank.copies)
+                    assert bar == bank.threshold(window[lo], node)
+                    held.update({(id(bank), i): node for i in window[lo:hi]})
+                seen_runs += len(runs)
+                split += len(runs) > 1
+            assert held == {(id(bank), i): node for bank in banks
+                            for i, node in bank.copies.items() if len(node.S) < k}
+            rebuilt = {}
+            _fill(rebuilt, banks)
+            assert rebuilt == live
+    assert seen_runs > 0 and split > 0
+
+
+class _SizedStates(rs.SubmodularOracle):
+    """Wraps an oracle so that each node state carries its set, and fails on a
+    state made for a set of size k or a gain read against the wrong set."""
+
+    def __init__(self, inner, k):
+        self.inner, self.n, self.k = inner, inner.n, k
+        self.made = 0
+
+    def value(self, S):
+        return self.inner.value(S)
+
+    def marginal(self, u, S):
+        return self.inner.marginal(u, S)
+
+    def node_state(self, state, u):
+        inner, S = state if state is not None else (None, ())
+        assert len(S) + 1 < self.k, f"state made for the full set {S + (u,)}"
+        self.made += 1
+        return self.inner.node_state(inner, u), S + (u,)
+
+    def node_gain(self, state, u, S):
+        inner, held = state if state is not None else (None, ())
+        assert held == S
+        return self.inner.node_gain(inner, u, S)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pass_makes_no_state_for_a_full_set_and_drops_every_state(kind):
+    rng = np.random.default_rng(KINDS.index(kind) + 71)
+    made = 0
+    for t in range(12):
+        n, k = int(rng.integers(6, 22)), 1 + t % 5
+        inst = make_instance(rng, kind, n, k)
+        sized = rs.RegularizedInstance(_SizedStates(inst.oracle, k), inst.cost, k)
+        stream = [int(x) for x in rng.permutation(n)]
+        eps = (0.1, 0.2, 0.5)[t % 3]
+        for make in (lambda: rs.ThresholdBank(0.5, k, eps), lambda: SieveLadder(k, eps)):
+            bank = make()
+            got = bank.run(stream, sized, "bank")
+            assert all(node.state is None for node in bank.copies.values())
+            want = make().run(stream, inst, "bank")
+            assert (got.elements, got.f_value, got.provenance) == (
+                want.elements, want.f_value, want.provenance)
+        assert rs.distorted_streaming(stream, sized, eps, 0.2) == rs.distorted_streaming(
+            stream, inst, eps, 0.2)
+        made += sized.oracle.made
+    assert made > 0
 
 
 def test_distorted_streaming_spends_nothing_once_every_copy_is_full():
