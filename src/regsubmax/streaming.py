@@ -12,15 +12,15 @@ parameter ``r``, and keeps the best output across the grid.
 
 Every threshold stream is one pass over the elements, each named at most
 once: g({u}) is evaluated once per element, never for a fixed threshold.
-Sets grow in stream order from one shared root, each a SetNode made once
-per parent and element, so equal sets are one node.  A copy is an exponent
-mapped to a node; a node's copies in one bank are consecutive, as an accept
-moves a prefix of them to the child, the window drops only low exponents
-and new copies join at the top.  One live table maps each node with room,
-the only nodes holding a state, to flat ``bank, lo, hi, bar`` runs: copies
-lo to hi - 1 counted from the bank's first, and the threshold at lo, which
-most runs fail.  An element costs one marginal per node in the table; the
-finish evaluates only sets whose f is within rounding of the best.
+Sets grow in stream order from one shared root, each a SetNode made once per
+parent and element, so equal sets are one node.  Position p of a bank's list
+of copies holds exponent first + p.  A node's copies in one bank are
+consecutive, as an accept moves a prefix of them to the child, the window
+drops only low exponents and new copies join at the top.  One live table
+maps each node with room, and so a state, to flat ``bank, lo, hi, bar``
+runs: the slice lo:hi of the bank's list and the threshold at lo, which most
+runs fail.  An element costs one marginal per node in the table; the finish
+evaluates only sets whose f is within rounding of the best.
 """
 
 from __future__ import annotations
@@ -107,17 +107,17 @@ class SetNode:
 class ThresholdBank:
     """Lazy ladder of threshold runs for one trade-off r.
 
-    Copies are keyed by the integer exponent of their threshold (1+eps)**i.
+    Each copy has an integer exponent i, its threshold being (1+eps)**i.
     A copy created the moment its exponent enters the window behaves exactly
     like one created at stream start, because until then its threshold was
     too high to accept anything; that equivalence is what keeps the ladder
     small without changing any output.
 
     The window is a function of the anchor alone, so copies are retired and
-    created only when the anchor rises.  ``copies`` maps the window's
-    exponents from ``first`` up to the :class:`SetNode` of their sets; a new
-    copy starts at ``root``, the empty set all banks share.  :meth:`step`
-    steps the bank's own table ``live``; a pass shares one across its banks.
+    created only when the anchor rises.  Position p of the list ``copies``
+    holds the :class:`SetNode` of exponent ``first + p``; a new copy starts
+    at ``root``, the empty set all banks share.  :meth:`step` steps the
+    bank's own table ``live``; a pass shares one across its banks.
 
     This is the package's one accept rule, for the CLI's threshold ladder,
     fixed-threshold streaming, sieve and distorted streaming.  A variant
@@ -133,7 +133,7 @@ class ThresholdBank:
         self.k = checked_scalar(k, "budget k", int, "[1, inf)")
         self.eps = checked_scalar(eps, "eps", float, "(0, inf)")
         self.best_single = -math.inf
-        self.copies: dict[int, SetNode] = {}
+        self.first, self.copies = 0, []
         self.live: dict[SetNode, list] = {}
         # The anchor is the singleton score _factor * g({u}) - r * cost(u);
         # an element's surplus is marginal(u, S) - multiplier * cost(u).
@@ -165,13 +165,12 @@ class ThresholdBank:
         ``node.f`` more than rounding below the largest (the empty set's 0
         included).  A generator, so a best-of pick keeps one Solution alive.
         """
-        top = max([0.0, *(node.f for node in self.copies.values())])
+        top = max([0.0, *(node.f for node in self.copies)])
         floor = top - 1e-9 * (1.0 + abs(top))
         below = ()
-        for i in sorted(self.copies):
-            node = self.copies[i]
+        for p, node in enumerate(self.copies):
             if node.S != below and node.f >= floor:
-                yield Solution.evaluate(instance, node.S, f"{label}[i={i}]")
+                yield Solution.evaluate(instance, node.S, f"{label}[i={self.first + p}]")
             below = node.S
 
     def finish(self, instance: RegularizedInstance, label: str = "threshold-bank") -> Solution:
@@ -184,8 +183,8 @@ def _fill(live: dict, banks: list[ThresholdBank]) -> None:
     """Refill the live table in place, one pass over each bank's consecutive copies."""
     live.clear()
     for bank in banks:
-        at, bank.first = None, next(iter(bank.copies), 0)
-        for p, node in enumerate(chain(bank.copies.values(), [None])):
+        at = None
+        for p, node in enumerate(chain(bank.copies, [None])):
             if node is not at:
                 if at is not None and len(at.S) < bank.k:
                     bar = bank.threshold(bank.first + lo, at)
@@ -203,8 +202,10 @@ def _step(banks: list[ThresholdBank], live: dict, u: int,
         # A non-positive anchor opens no window either way; keeping -inf
         # until the first positive score makes that explicit.
         if score > 0.0 and score > bank.best_single:
-            bank.best_single = score
-            bank.copies = {i: bank.copies.get(i, bank.root) for i in bank.window()}
+            bank.best_single, old, first = score, bank.copies, bank.first
+            w = bank.window()
+            bank.copies = [old[i - first] if 0 <= i - first < len(old) else bank.root for i in w]
+            bank.first = w.start
             rose = True
     if rose:
         _fill(live, banks)
@@ -224,8 +225,7 @@ def _step(banks: list[ThresholdBank], live: dict, u: int,
                 range(hi - 1), surplus, lo + 1, key=lambda p: bank.threshold(first + p, node))
             if child is None:
                 child, moved = SetNode(node.S + (u,), node.f + (gain - cost)), []
-            for i in range(first + lo, first + j):
-                bank.copies[i] = child
+            bank.copies[lo:j] = [child] * (j - lo)
             if len(child.S) < bank.k:
                 moved += bank, lo, j, bank.threshold(first + lo, child)
             runs[n + 1], runs[n + 3] = j, bank.threshold(first + j, node) if j < hi else None
@@ -255,7 +255,7 @@ class FixedThreshold(ThresholdBank):
         super().__init__(r, k, 1.0)
         self.tau = checked_scalar(tau, "tau", float, "(-inf, inf)")
         self._factor = 0.0
-        self.copies = {0: self.root}
+        self.copies = [self.root]
         _fill(self.live, [self])
 
     def threshold(self, i: int, node: SetNode) -> float:
@@ -292,7 +292,7 @@ def _pass(stream, instance: RegularizedInstance, banks: list[ThresholdBank],
         singleton = empty + oracle.node_gain(None, u, ()) if singletons else 0.0
         computed = _step(banks, live, u, instance, singleton)
         if diagnostics is not None:
-            max_stored = max(max_stored, sum(len(c.S) for b in banks for c in b.copies.values()))
+            max_stored = max(max_stored, sum(len(c.S) for b in banks for c in b.copies))
             max_copies = max(max_copies, sum(len(b.copies) for b in banks))
             per_element_marginals.append(computed)
     for node in live:

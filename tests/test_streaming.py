@@ -65,7 +65,8 @@ def test_threshold_state_derived_multiplier():
     bank = FixedThreshold(1.0, 2, 0.3)
     assert bank.multiplier == pytest.approx(GOLDEN ** 2, abs=1e-12)
     # one copy, open at the empty root from the first element
-    assert bank.copies == {0: bank.root} and bank.live == {bank.root: [bank, 0, 1, 0.3]}
+    assert bank.first == 0 and bank.copies == [bank.root]
+    assert bank.live == {bank.root: [bank, 0, 1, 0.3]}
     assert bank.root.S == ()
     with pytest.raises(ValueError):
         FixedThreshold(1.0, 0, 0.3)
@@ -183,7 +184,7 @@ def test_bank_ignores_nonpositive_scores(three_node_cover):
     bank = rs.ThresholdBank(1.0, 2, 0.5)
     bank.step(0, heavy, heavy.oracle.value((0,)))
     assert bank.best_single == -math.inf
-    assert bank.copies == {}
+    assert bank.copies == []
     sol = bank.finish(heavy)
     assert sol.elements == ()
 
@@ -196,7 +197,7 @@ def test_bank_window_tracks_anchor(three_node_cover):
         bank.step(u, inst, inst.oracle.value((u,)))
     # best singleton score is 3*factor(1) - 1
     assert bank.best_single == pytest.approx(3 * rs.approx_factor(1.0) - 1.0)
-    assert sorted(bank.copies) == [-6, -5, -4, -3]
+    assert bank.first == -6 and len(bank.copies) == 4
     sol = bank.finish(inst)
     assert sol.elements == (0,)
     assert sol.f_value == pytest.approx(2.0)
@@ -216,7 +217,7 @@ def test_bank_anchor_is_monotone_and_copies_bounded():
             assert bank.best_single >= prev
             prev = bank.best_single
             assert len(bank.copies) <= bound
-            for state in bank.copies.values():
+            for state in bank.copies:
                 assert len(state.S) <= inst.k
 
 
@@ -243,8 +244,8 @@ def test_bank_finish_keeps_lowest_exponent_among_equal_sets():
     inst, counter = rs.RegularizedInstance(
         rs.ModularOracle([3.0, 1.0]), rs.ModularCost(np.zeros(2)), 2).counted()
     bank = rs.ThresholdBank(1.0, 2, 0.5)
-    for i, S in ((2, [0]), (-1, []), (1, [0]), (0, [1])):
-        bank.copies[i] = SetNode(tuple(S), 0.0)
+    bank.first = -1
+    bank.copies = [SetNode(tuple(S), 0.0) for S in ([], [1], [0], [0])]
     sol = bank.finish(inst)
     assert (sol.elements, sol.provenance) == ((0,), "threshold-bank[i=1]")
     # the empty set, [1] and [0]: copy -1 repeats the empty set, 2 repeats 1
@@ -258,11 +259,11 @@ def test_bank_finish_evaluates_only_sets_near_the_best_running_f():
     inst, counter = rs.RegularizedInstance(
         rs.ModularOracle(weights), rs.ModularCost(np.zeros(3)), 2).counted()
     bank = rs.ThresholdBank(1.0, 2, 0.5)
-    for i, (S, f) in enumerate((((0,), 1.0 + 1e-12), ((1,), 1.0), ((2,), 0.5))):
-        bank.copies[i] = SetNode(S, f)
+    bank.first = 0
+    bank.copies = [SetNode(S, f) for S, f in (((0,), 1.0 + 1e-12), ((1,), 1.0), ((2,), 0.5))]
     every = rs.best_solution([rs.Solution.evaluate(inst, (), "threshold-bank[empty]")] + [
         rs.Solution.evaluate(inst, node.S, f"threshold-bank[i={i}]")
-        for i, node in sorted(bank.copies.items())])
+        for i, node in enumerate(bank.copies, bank.first)])
     counter.value_calls = 0
     sol = bank.finish(inst)
     assert (sol.elements, sol.provenance) == (every.elements, every.provenance) == (
@@ -270,7 +271,7 @@ def test_bank_finish_evaluates_only_sets_near_the_best_running_f():
     # the empty set, [0] and [1]: [2] costs no value call
     assert counter.value_calls == 3
     # a running f far below the empty set's 0 is not evaluated either
-    bank.copies = {0: SetNode((2,), -1.0)}
+    bank.copies = [SetNode((2,), -1.0)]
     assert bank.finish(inst).elements == ()
     assert counter.value_calls == 4
 
@@ -336,7 +337,7 @@ def test_distorted_streaming_matches_ladder_reference(eps, delta):
 
 def _offered_sets(bank, u):
     """Sets the bank's copies held when ``u`` was offered, full ones excluded."""
-    held = (c.S[:-1] if c.S and c.S[-1] == u else c.S for c in bank.copies.values())
+    held = (c.S[:-1] if c.S and c.S[-1] == u else c.S for c in bank.copies)
     return {tuple(S) for S in held if len(S) < bank.k}
 
 
@@ -372,7 +373,7 @@ def test_copies_holding_equal_sets_hold_one_node():
             _step(banks, live, u, inst, inst.oracle.value((u,)))
             owner = {}
             for j, bank in enumerate(banks):
-                for node in bank.copies.values():
+                for node in bank.copies:
                     if node.S not in owner:
                         owner[node.S] = (node, j)
                         continue
@@ -410,17 +411,58 @@ def test_live_table_holds_each_bank_as_contiguous_runs_of_its_open_copies():
                 assert len({id(bank) for bank, _, _, _ in runs}) == len(runs)
                 for bank, lo, hi, bar in runs:
                     window = bank.window()
+                    assert bank.first == window.start
                     assert 0 <= lo < hi <= len(window) == len(bank.copies)
                     assert bar == bank.threshold(window[lo], node)
                     held.update({(id(bank), i): node for i in window[lo:hi]})
                 seen_runs += len(runs)
                 split += len(runs) > 1
             assert held == {(id(bank), i): node for bank in banks
-                            for i, node in bank.copies.items() if len(node.S) < k}
+                            for i, node in enumerate(bank.copies, bank.first) if len(node.S) < k}
             rebuilt = {}
             _fill(rebuilt, banks)
             assert rebuilt == live
     assert seen_runs > 0 and split > 0
+
+
+class _ScriptedWindow(rs.ThresholdBank):
+    """A bank whose window is whatever range ``scripted`` holds."""
+
+    scripted = range(0)
+
+    def window(self) -> range:
+        return self.scripted
+
+
+def test_rise_reindexes_every_kept_exponent_to_its_node():
+    # an overlapping move up, a top-only extension, a disjoint jump and a
+    # move down, which no shipped bank makes; between rises an element takes
+    # the lower half of the window, so neighbouring copies hold other nodes
+    windows = [range(-3, 2), range(-1, 4), range(-1, 6), range(10, 13), range(7, 11)]
+    n = 2 * len(windows)
+    weights = np.zeros(n)
+    for t, w in enumerate(windows):
+        weights[2 * t + 1] = 1.1 ** (w.start + len(w) / 2)
+    inst = rs.RegularizedInstance(rs.ModularOracle(weights), rs.ModularCost(np.zeros(n)), n)
+    bank = _ScriptedWindow(1.0, n, 0.1)
+    kept = 0
+    for t, w in enumerate(windows):
+        before = dict(enumerate(bank.copies, bank.first))
+        bank.scripted = w
+        bank.step(2 * t, inst, t + 1.0)  # a rise; gain 0 is taken by no copy
+        after = dict(enumerate(bank.copies, bank.first))
+        assert bank.first == w.start and list(after) == list(w)
+        for i in w:
+            assert after[i] is before.get(i, bank.root)
+            kept += i in before and before[i] is not bank.root
+        rebuilt = {}
+        _fill(rebuilt, [bank])
+        assert rebuilt == bank.live
+        bank.step(2 * t + 1, inst, 0.0)  # no rise
+        rebuilt = {}
+        _fill(rebuilt, [bank])
+        assert rebuilt == bank.live
+    assert kept >= 3
 
 
 class _SizedStates(rs.SubmodularOracle):
@@ -462,7 +504,7 @@ def test_pass_makes_no_state_for_a_full_set_and_drops_every_state(kind):
         for make in (lambda: rs.ThresholdBank(0.5, k, eps), lambda: SieveLadder(k, eps)):
             bank = make()
             got = bank.run(stream, sized, "bank")
-            assert all(node.state is None for node in bank.copies.values())
+            assert all(node.state is None for node in bank.copies)
             want = make().run(stream, inst, "bank")
             assert (got.elements, got.f_value, got.provenance) == (
                 want.elements, want.f_value, want.provenance)
