@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import RegularizedInstance, Solution, checked_scalar, greedy
-from .streaming import SetNode, ThresholdBank, approx_factor, geometric_index_range
+from .streaming import SetNode, ThresholdBank, _exponents, approx_factor
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -41,7 +41,7 @@ class SieveLadder(ThresholdBank):
 
     def window(self) -> range:
         m = self.best_single
-        return geometric_index_range(m, 2.0 * self.k * m, 1.0 + self.eps)
+        return _exponents(m, 2.0 * self.k * m, self._log_base)
 
     def threshold(self, i: int, node: SetNode) -> float:
         return ((1.0 + self.eps) ** i / 2.0 - node.f) / (self.k - len(node.S))

@@ -45,8 +45,8 @@ class DirectedGraph:
     """Directed graph on a dense ground set ``{0, .., n-1}``.
 
     ``out_csr`` is the graph's one stored form: forward CSR arrays (see
-    ``csr``) with the out-neighbours of u, ascending, at
-    ``heads[ptr[u]:ptr[u+1]]``.  ``original_ids`` maps a dense id back to
+    ``csr``) with the out-neighbours of u, strictly ascending and without u,
+    at ``heads[ptr[u]:ptr[u+1]]``.  ``original_ids`` maps a dense id back to
     whatever label the source file used, so results can be reported in the
     input's vocabulary.  ``in_csr``, the same edges reversed, is always
     derived from ``out_csr``.
@@ -57,7 +57,10 @@ class DirectedGraph:
     in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "in_csr", csr(self.n, self.out_csr[1], self.tails()))
+        heads, tails = self.out_csr[1], self.tails()
+        if np.any(heads == tails) or np.any((heads[1:] <= heads[:-1]) & (tails[1:] == tails[:-1])):
+            raise ValueError("out_csr rows must list their heads strictly ascending, without u")
+        object.__setattr__(self, "in_csr", csr(self.n, heads, tails))
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]] | np.ndarray) -> "DirectedGraph":
@@ -111,6 +114,8 @@ class VertexCoverOracle(SubmodularOracle):
     A cover is an int mask, bit v for node v: a streaming node's state is
     its set's, and u's is built from its CSR row when asked for, keeping
     only the last one, so the oracle holds O(n + m) and a state n/8 bytes.
+    A unit gain is u's cover size less the bits u's mask shares with the
+    state: at the root (None) no mask is built.
     """
 
     def __init__(self, graph: DirectedGraph, weights: Sequence[float] | None = None):
@@ -125,6 +130,7 @@ class VertexCoverOracle(SubmodularOracle):
         self._single = self.weights + np.bincount(graph.tails(), self.weights[heads], n)
         self._cover_size = (graph.out_degrees() + 1).astype(np.int32)
         self._ptr, self._heads, self._last = ptr.tolist(), heads.tolist(), (-1, 0)
+        self._sizes = self._cover_size.tolist()  # Python ints index faster in node_gain
 
     def _mask(self, u: int) -> int:
         """u's cover as a mask; a stream asks for one element's many times."""
@@ -147,7 +153,9 @@ class VertexCoverOracle(SubmodularOracle):
         return (state or 0) | self._mask(u)
 
     def node_gain(self, state, u: int, S: tuple[int, ...]) -> float:
-        return self._weigh(self._mask(u) & ~(state or 0))
+        if not self._unit:
+            return self._weigh(self._mask(u) & ~(state or 0))
+        return float(self._sizes[u] - (state is not None and (self._mask(u) & state).bit_count()))
 
     def value(self, S: ElementSet) -> float:
         return self._weigh(reduce(self.node_state, S, 0))
@@ -198,11 +206,27 @@ def similarity_from_features(X: np.ndarray) -> np.ndarray:
 class FacilityLocationOracle(SubmodularOracle):
     """Facility location: rows of M are clients, columns are facilities, and
     g(S) is the mean over clients of the best similarity in S.  Non-negative,
-    or a negative row maximum would put ``value(S)`` below ``value(()) == 0``."""
+    or a negative row maximum would put ``value(S)`` below ``value(()) == 0``.
+    A streaming state holds each client's best facility in S as an offset into
+    ``M.ravel()``, packed as ``bytes`` of the least unsigned dtype that fits
+    (2 bytes at 48 x 48), so gains read M's own entries, as ``marginal`` does."""
 
     def __init__(self, M: np.ndarray):
         self.M = checked_array(M, "similarity matrix", "2-D", nonneg=True)
         self.n = self.M.shape[1]
+        self._flat, self._dtype = self.M.ravel(), np.min_scalar_type(self.M.size - 1)
+
+    def node_state(self, state, u: int) -> bytes:
+        col = np.arange(u, self._flat.size, self.n)  # offsets of M[:, u]
+        if state is not None:
+            old = np.frombuffer(state, self._dtype)
+            col = np.where(self._flat[col] > self._flat.take(old), col, old)
+        return col.astype(self._dtype).tobytes()
+
+    def node_gain(self, state, u: int, S: tuple[int, ...]) -> float:
+        best = 0.0 if state is None else self._flat.take(np.frombuffer(state, self._dtype))
+        # ``np.add.reduce`` is ``sum`` without its Python wrapper: the same pairwise sum
+        return float(np.add.reduce(np.maximum(self.M[:, u] - best, 0.0))) / self.M.shape[0]
 
     def _best(self, S: ElementSet) -> np.ndarray:
         """Each client's best similarity to a facility in S, 0 for the empty S."""

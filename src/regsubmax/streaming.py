@@ -68,10 +68,13 @@ def geometric_index_range(lo: float, hi: float, base: float) -> range:
     Log-space boundaries within 1e-9 of an integer snap to it, so exact
     powers stay inside the window instead of flapping with rounding.
     """
-    checked_scalar(base, "base", float, "(1, inf)")
+    return _exponents(lo, hi, math.log(checked_scalar(base, "base", float, "(1, inf)")))
+
+
+def _exponents(lo: float, hi: float, lb: float) -> range:
+    """:func:`geometric_index_range` for a base already checked, by its log lb."""
     if lo <= 0.0 or hi <= 0.0 or hi < lo or math.isinf(hi):
         return range(0)
-    lb = math.log(base)
     return range(_snap(math.log(lo) / lb, math.ceil), _snap(math.log(hi) / lb, math.floor) + 1)
 
 
@@ -139,10 +142,12 @@ class ThresholdBank:
         # an element's surplus is marginal(u, S) - multiplier * cost(u).
         self._factor = approx_factor(r)
         self.multiplier = cost_multiplier(r)
+        self._log_base = math.log(checked_scalar(1.0 + eps, "base", float, "(1, inf)"))
 
     def window(self) -> range:
-        """Exponents of the copies worth keeping for the current anchor."""
-        return threshold_index_range(self.best_single, self.k, self.r, self.eps)
+        """``threshold_index_range``, the exponents kept for the current anchor."""
+        b = self.best_single
+        return _exponents(b / self.k, b * self.multiplier / self.r, self._log_base)
 
     def threshold(self, i: int, node: SetNode) -> float:
         """Surplus copy i needs to take an element into ``node``'s set."""
@@ -241,6 +246,7 @@ def _step(banks: list[ThresholdBank], live: dict, u: int,
             live[child] = moved
         if not live[node]:
             del live[node]
+            node.state = None
     return computed
 
 

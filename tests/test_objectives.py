@@ -93,6 +93,22 @@ def test_from_edges_matches_reference_and_csr():
     assert flipped.in_csr[1].tolist() == g.out_csr[1].tolist()
 
 
+def test_directed_graph_rejects_raw_csr_rows_with_a_loop_or_a_repeat():
+    # a cover counts a row's heads as that many distinct other nodes; a repeat
+    # or a loop made VertexCoverOracle.gains disagree with marginal
+    csr = rs.objectives.csr
+    bad = [csr(3, np.array([0, 0, 1]), np.array([1, 1, 1])),  # repeated head and a loop
+           csr(3, np.array([0, 0]), np.array([2, 2])),  # repeated head
+           csr(3, np.array([1]), np.array([1])),  # loop
+           (np.array([0, 2, 2, 2]), np.array([2, 1]))]  # heads descending
+    for out_csr in bad:
+        with pytest.raises(ValueError, match=r"^out_csr rows must list their heads strictly"):
+            rs.DirectedGraph(out_csr, (0, 1, 2))
+    # ascending within each row; across rows the heads may fall
+    graph = rs.DirectedGraph((np.array([0, 2, 3, 3]), np.array([1, 2, 0])), (0, 1, 2))
+    assert graph.edges() == [(0, 1), (0, 2), (1, 0)]
+
+
 def test_directed_graph_id_compaction():
     graph = rs.DirectedGraph.from_edges([(10, 20), (20, 10), (10, 10), (10, 20)])
     assert graph.n == 2
@@ -422,7 +438,9 @@ def test_vertex_cover_oracle_memory_is_linear_in_the_graph():
     n = 100_000
     rng = np.random.default_rng(5)
     src, dst = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
-    graph = rs.DirectedGraph(rs.objectives.csr(n, src, dst), tuple(range(n)))
+    # a raw CSR lists distinct heads other than the row itself
+    pairs = np.unique(src[src != dst] * n + dst[src != dst])
+    graph = rs.DirectedGraph(rs.objectives.csr(n, pairs // n, pairs % n), tuple(range(n)))
     tracemalloc.start()
     try:
         oracle = rs.VertexCoverOracle(graph)
@@ -436,7 +454,19 @@ def test_vertex_cover_oracle_memory_is_linear_in_the_graph():
         graph, np.ones(n), (0,), u)
 
 
-@pytest.mark.parametrize("kind", KINDS + ("unit-cover",))
+FACILITY_FORMS = ("facility-rectangular", "facility-transposed-view", "facility-uint32")
+
+
+def _facility_matrix(rng, form, n):
+    """A rows x n M with ties and zeros: rectangular, a transposed (F-ordered)
+    view, or with rows * n past 65536, so a state's offsets need 4 bytes."""
+    rows = 65536 // n + 1 if form == "facility-uint32" else int(rng.integers(1, 80))
+    shape = (n, rows) if form == "facility-transposed-view" else (rows, n)
+    M = np.where(rng.random(shape) < 0.3, rng.integers(0, 3, shape) / 3.0, rng.random(shape))
+    return M.T if form == "facility-transposed-view" else M
+
+
+@pytest.mark.parametrize("kind", KINDS + ("unit-cover",) + FACILITY_FORMS)
 def test_node_state_gains_match_marginals_bit_for_bit(kind):
     # along stream-grown paths, as the streaming ladder grows its sets
     rng = np.random.default_rng(KINDS.index(kind) if kind in KINDS else 99)
@@ -444,6 +474,10 @@ def test_node_state_gains_match_marginals_bit_for_bit(kind):
         n = int(rng.integers(3, 40))
         if kind == "unit-cover":
             oracle = rs.VertexCoverOracle(random_digraph_dense(rng, n, 0.2))
+        elif kind in FACILITY_FORMS:
+            M = _facility_matrix(rng, kind, n)
+            assert M.flags.c_contiguous == (kind != "facility-transposed-view")
+            oracle = rs.FacilityLocationOracle(M)
         else:
             oracle = make_instance(rng, kind, n, 3).oracle
         counter = rs.CountingOracle(oracle)
@@ -460,6 +494,12 @@ def test_node_state_gains_match_marginals_bit_for_bit(kind):
         for state, S in path:
             assert [counter.node_gain(state, v, S) for v in range(n)] == [
                 oracle.marginal(v, S) for v in range(n)]
+        if isinstance(oracle, rs.FacilityLocationOracle):
+            # one offset per client, in the fewest bytes that hold rows * n - 1
+            rows = oracle.M.shape[0]
+            size = 1 if rows * n <= 2**8 else 2 if rows * n <= 2**16 else 4
+            assert size == 4 or kind != "facility-uint32"
+            assert all(type(state) is bytes and len(state) == rows * size for state, _ in path[1:])
         assert counter.value_calls == 0
         assert counter.marginal_calls == n + n * n + n * len(path)
 

@@ -111,3 +111,13 @@ def test_bench_run_failure_names_command_status_and_stderr(code, status):
     assert f"exit status {status}," in message
     # the last 20 stderr lines, not all 31
     assert message.endswith(":\n" + "early\n" * 19 + "solve blew up")
+
+
+def test_cold_peaks_prints_each_marked_solve_per_seed(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "cold_peaks.py"), "--seeds", "0"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [["0", "cover/distorted-streaming-k10-p0"],
+                                            ["0", "facility/distorted-streaming-p0"]]
+    assert all(float(line[2]) > 0 for line in lines)

@@ -165,6 +165,24 @@ def test_threshold_index_range_examples():
     assert list(threshold_index_range(-3.0, 2, 1.0, 0.5)) == []
 
 
+def test_bank_windows_equal_the_checked_index_ranges():
+    # window() reads eps, r and the base as __init__ checked them, with no
+    # check per rise; the checked free functions are its reference
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        k, r = int(rng.integers(1, 40)), float(rng.choice([1e-3, 0.2, 1.0, 7.5]))
+        eps = float(rng.choice([1e-6, 0.05, 0.1, 0.5, 1.0, 3.0]))
+        bank, sieve = rs.ThresholdBank(r, k, eps), SieveLadder(k, eps)
+        # exact powers of the base land on both ends of the window
+        powers = [k * (1.0 + eps) ** i for i in rng.integers(-40, 40, 4)]
+        anchors = [-math.inf, -1.0, 0.0, 5e-324, 1e300, math.inf, *powers,
+                   *(1.0 + eps) ** rng.integers(-40, 40, 4), *10.0 ** rng.uniform(-300, 300, 8)]
+        for anchor in anchors:
+            bank.best_single = sieve.best_single = anchor
+            assert bank.window() == threshold_index_range(anchor, k, r, eps)
+            assert sieve.window() == geometric_index_range(anchor, 2.0 * k * anchor, 1.0 + eps)
+
+
 def test_threshold_bank_rejects_non_positive_r():
     # r = 0 would open an empty ladder window and return the empty set
     inst = rs.RegularizedInstance(rs.ModularOracle([1.0]), rs.ModularCost(np.zeros(1)), 1)
@@ -176,6 +194,9 @@ def test_threshold_bank_rejects_non_positive_r():
     for eps in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="eps"):
             rs.ThresholdBank(1.0, 3, eps)
+    # an eps lost in 1 + eps leaves no ladder: refused when the bank is made
+    with pytest.raises(ValueError, match="base"):
+        rs.ThresholdBank(1.0, 3, 1e-17)
 
 
 def test_bank_ignores_nonpositive_scores(three_node_cover):
@@ -396,12 +417,14 @@ def test_live_table_holds_each_bank_as_contiguous_runs_of_its_open_copies():
         banks = [rs.ThresholdBank(g.r, k, eps) for g in rs.ratio_grid(eps, 0.2)]
         live = {}
         for u in (int(x) for x in rng.permutation(n)):
-            before, nodes = counter.marginal_calls, len(live)
+            before, nodes = counter.marginal_calls, list(live)
             anchors = [b.best_single for b in banks]
             computed = _step(banks, live, u, counted, inst.oracle.value((u,)))
             assert computed == counter.marginal_calls - before
             if anchors == [b.best_single for b in banks]:  # no refill: the table it walked
-                assert computed == nodes
+                assert computed == len(nodes)
+                # a node that leaves the table leaves its state too
+                assert all(node.state is None for node in nodes if node not in live)
             assert computed == len(set().union(*(_offered_sets(b, u) for b in banks)))
             held = {}
             for node, flat in live.items():
