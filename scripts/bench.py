@@ -66,15 +66,15 @@ def assemble(spec: dict, results: dict, label: str) -> dict:
             "workloads": workloads}
 
 
-def run_once(spec: dict, workload: str, seed: int, trace: int) -> dict:
-    """The parsed last stdout line of one run; RuntimeError, naming the command
-    and its exit status and quoting the tail of its stderr, if the run fails
-    or that line is not JSON."""
+def run_once(spec: dict, workload: str, seed: int, trace: int, root: Path = ROOT) -> dict:
+    """The parsed last stdout line of one run in the checkout at ``root``;
+    RuntimeError, naming the command and its exit status and quoting the tail
+    of its stderr, if the run fails or that line is not JSON."""
     argv = spec["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     command = " ".join(argv)
     print(command, flush=True)
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode == 0:
         try:
             return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -265,12 +265,13 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
         if cands.size == 0:
             break
         scores = w * oracle.gains(st, cands) - costs
-        j = int(np.argmax(scores))
+        j = int(scores.argmax())
         if scores[j] > 0.0:
             u = int(cands[j])
             oracle.add(st, u)
             S.append(u)
-            cands, costs = np.delete(cands, j), np.delete(costs, j)
+            cands = np.concatenate((cands[:j], cands[j + 1:]))
+            costs = np.concatenate((costs[:j], costs[j + 1:]))
         elif max(weights[i + 1:], default=w) <= w:
             break
     return S

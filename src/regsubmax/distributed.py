@@ -120,19 +120,22 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     n = instance.n
     rounds = config.rounds
     pool: list[tuple[int, int, tuple[int, ...]]] = []
+    pooled = np.zeros(n, dtype=bool)
     for rd in range(1, rounds + 1):
         assignment = RoundAssignment.draw(n, config.m, config.seed, rd)
-        pooled = np.unique(np.fromiter((u for _, _, s in pool for u in s), dtype=np.intp))
+        pooled[[u for _, _, s in pool for u in s]] = True
         calls_before = counter.calls if metrics is not None else 0
         shard_sizes: list[int] = []
         for i in range(config.m):
             shard = assignment.shard(i)
             shard_sizes.append(len(shard))
-            S = distorted_greedy(instance, np.union1d(shard, pooled))
+            cands = pooled.copy()
+            cands[shard] = True
+            S = distorted_greedy(instance, np.flatnonzero(cands))
             pool.append((rd, i + 1, tuple(S)))
         if metrics is not None:
-            metrics.append(RoundMetrics(rd, len(pool) - config.m, len(pooled), shard_sizes,
-                                        counter.calls - calls_before))
+            metrics.append(RoundMetrics(rd, len(pool) - config.m, int(pooled.sum()),
+                                        shard_sizes, counter.calls - calls_before))
     if pool_out is not None:
         pool_out.extend(pool)
     return best_solution(

@@ -27,17 +27,10 @@ class DegenerateMatrixError(ValueError):
 
 def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]]."""
+    src, dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
     return ptr, np.sort(src * n + dst) % n
-
-
-def _gather(ptr: np.ndarray, idx: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All CSR neighbours of ``rows``, concatenated, with each one's row position."""
-    lens = ptr[rows + 1] - ptr[rows]
-    pos = np.repeat(ptr[rows] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    return np.repeat(np.arange(rows.size), lens), idx[pos]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +50,11 @@ class DirectedGraph:
     in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        heads, tails = self.out_csr[1], self.tails()
+        ptr, heads = self.out_csr
+        if not (ptr[:1].tolist() == [0] and (ptr[1:] >= ptr[:-1]).all() and ptr[-1] == heads.size
+                and ((heads >= 0) & (heads < ptr.size - 1)).all()):
+            raise ValueError("out_csr must have ptr rising from 0 to heads.size, heads in [0, n)")
+        tails = self.tails()
         if np.any(heads == tails) or np.any((heads[1:] <= heads[:-1]) & (tails[1:] == tails[:-1])):
             raise ValueError("out_csr rows must list their heads strictly ascending, without u")
         object.__setattr__(self, "in_csr", csr(self.n, heads, tails))
@@ -115,7 +112,8 @@ class VertexCoverOracle(SubmodularOracle):
     its set's, and u's is built from its CSR row when asked for, keeping
     only the last one, so the oracle holds O(n + m) and a state n/8 bytes.
     A unit gain is u's cover size less the bits u's mask shares with the
-    state: at the root (None) no mask is built.
+    state: at the root (None) no mask is built.  Greedy's ``add`` makes a
+    fixed number of numpy calls over the newly covered nodes' in-edges.
     """
 
     def __init__(self, graph: DirectedGraph, weights: Sequence[float] | None = None):
@@ -130,6 +128,7 @@ class VertexCoverOracle(SubmodularOracle):
         self._single = self.weights + np.bincount(graph.tails(), self.weights[heads], n)
         self._cover_size = (graph.out_degrees() + 1).astype(np.int32)
         self._ptr, self._heads, self._last = ptr.tolist(), heads.tolist(), (-1, 0)
+        self._in_ptr = graph.in_csr[0].tolist()
         self._sizes = self._cover_size.tolist()  # Python ints index faster in node_gain
 
     def _mask(self, u: int) -> int:
@@ -175,14 +174,15 @@ class VertexCoverOracle(SubmodularOracle):
         the gain of itself and of its in-neighbours; a node whose whole
         cover is covered reads exactly 0, free of rounding."""
         covered, gain, left = st
-        ptr, heads = self.graph.out_csr
-        new = np.append(heads[ptr[u]:ptr[u + 1]], u)
+        new = np.array([*self._heads[self._ptr[u]:self._ptr[u + 1]], u])
         new = new[~covered[new]]
         covered[new] = True
-        row, ins = _gather(*self.graph.in_csr, new)
-        hit = np.concatenate([new, ins])
-        np.subtract.at(gain, hit, self.weights[np.concatenate([new, new[row]])])
-        np.subtract.at(left, hit, 1)
+        ptr, heads = self._in_ptr, self.graph.in_csr[1]
+        ins = [heads[ptr[v]:ptr[v + 1]] for v in new.tolist()]
+        hit = np.concatenate([new, *ins])
+        w = self.weights[new]
+        np.subtract.at(gain, hit, np.concatenate([w, w.repeat([a.size for a in ins])]))
+        np.subtract.at(left, hit, np.int32(1))  # left's own dtype: ufunc.at's fast path
         gain[hit[left[hit] == 0]] = 0.0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from regsubmax.distributed import _M64, _mix64, _round_key
+from regsubmax.distributed import _M64, RoundMetrics, _mix64, _round_key
 from regsubmax.streaming import geometric_index_range, threshold_index_range
 
 KINDS = ("vertex-cover", "facility", "logdet", "coverage", "modular")
@@ -238,6 +238,71 @@ def ladder_reference(stream, instance, eps, delta) -> rs.Solution:
         if bank_best.f_value > best.f_value:
             best = bank_best
     return best
+
+
+def eager_greedy(instance, distorted, candidates=None):
+    """Per-candidate ``marginal`` loop: the greedy kernel's reference."""
+    oracle, cost, k = instance.oracle, instance.cost, instance.k
+    cands = sorted(range(oracle.n) if candidates is None else set(candidates))
+    S = []
+    for i in range(k):
+        weight = (1.0 - 1.0 / k) ** (k - i - 1) if distorted else 1.0
+        best_u, best = None, 0.0
+        for u in cands:
+            if u in S:
+                continue
+            score = weight * oracle.marginal(u, S) - cost[u]
+            if score > best:
+                best_u, best = u, score
+        if best_u is not None:
+            S.append(best_u)
+        elif not distorted:
+            break
+    return S
+
+
+def cover_add_reference(oracle, st, u) -> None:
+    """``VertexCoverOracle.add`` with a cumsum-and-repeat gather of the reverse
+    CSR: the reference for its slices, subtracting in the same order."""
+    covered, gain, left = st
+    ptr, heads = oracle.graph.out_csr
+    new = np.append(heads[ptr[u]:ptr[u + 1]], u)
+    new = new[~covered[new]]
+    covered[new] = True
+    rptr, ridx = oracle.graph.in_csr
+    lens = rptr[new + 1] - rptr[new]
+    pos = np.repeat(rptr[new] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    row, ins = np.repeat(np.arange(new.size), lens), ridx[pos]
+    hit = np.concatenate([new, ins])
+    np.subtract.at(gain, hit, oracle.weights[np.concatenate([new, new[row]])])
+    np.subtract.at(left, hit, 1)
+    gain[hit[left[hit] == 0]] = 0.0
+
+
+def distributed_reference(instance, config):
+    """``run_distributed`` with each machine's candidates as the sorted union of
+    its shard and the pooled ids, and ``eager_greedy`` on every machine:
+    (pool, winner, RoundMetrics rows)."""
+    counted, counter = instance.counted()
+    pool, metrics = [], []
+    for rd in range(1, config.rounds + 1):
+        pooled = np.unique(np.array([u for _, _, s in pool for u in s], dtype=np.intp))
+        machines = [machine_of(config.seed, rd, u, config.m) for u in range(instance.n)]
+        calls, sizes = counter.calls, []
+        for i in range(config.m):
+            shard = [u for u, mu in enumerate(machines) if mu == i]
+            sizes.append(len(shard))
+            cands = np.union1d(np.array(shard, dtype=np.intp), pooled).tolist()
+            pool.append((rd, i + 1, tuple(eager_greedy(counted, True, cands))))
+        metrics.append(RoundMetrics(rd, len(pool) - config.m, len(pooled), sizes,
+                                    counter.calls - calls))
+    winner = None
+    for rd, i, s in pool:
+        if rd < config.rounds or i == 1:
+            sol = rs.Solution.evaluate(instance, s, f"distributed[round={rd},machine={i}]")
+            if winner is None or sol.f_value > winner.f_value:
+                winner = sol
+    return pool, winner, metrics
 
 
 def machine_of(seed: int, round_index: int, element: int, m: int) -> int:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from conftest import machine_of, make_instance, KINDS
+from conftest import (distributed_reference, machine_of, make_instance, random_digraph_dense,
+                      KINDS)
 
 
 def test_distorted_greedy_three_node(three_node_cover):
@@ -162,6 +163,27 @@ def test_round_metrics_count_calls_with_and_without_a_counting_oracle():
     # the caller's counter still sees every call: both rounds, then one
     # value call per pooled candidate evaluated
     assert counter.calls == 8 + 12 + 3
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+def test_run_distributed_matches_a_union_and_eager_reference(unit, m, eps):
+    # pins the candidate set each machine receives: its shard plus every pooled id
+    rng = np.random.default_rng(m + 10 * unit + int(100 * eps))
+    for seed in range(3):
+        n = int(rng.integers(20, 70))
+        graph = random_digraph_dense(rng, n, rng.uniform(0.04, 0.15))
+        oracle = rs.VertexCoverOracle(graph, None if unit else rng.uniform(0.2, 1.5, n))
+        inst = rs.RegularizedInstance(oracle, rs.vertex_cover_cost(graph.out_degrees(), 2),
+                                      int(rng.integers(1, 6)))
+        cfg = rs.DistributedConfig(m=m, eps=eps, seed=seed)
+        pool, metrics = [], []
+        sol = rs.run_distributed(inst, cfg, metrics=metrics, pool_out=pool)
+        want_pool, want_sol, want_metrics = distributed_reference(inst, cfg)
+        assert pool == want_pool
+        assert sol == want_sol
+        assert metrics == want_metrics
 
 
 def test_distributed_winner_at_least_any_earlier_round_set():

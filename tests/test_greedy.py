@@ -4,27 +4,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-
-
-def eager_greedy(instance, distorted, candidates=None):
-    """Per-candidate ``marginal`` loop: the kernel's reference."""
-    oracle, cost, k = instance.oracle, instance.cost, instance.k
-    cands = sorted(range(oracle.n) if candidates is None else set(candidates))
-    S = []
-    for i in range(k):
-        weight = (1.0 - 1.0 / k) ** (k - i - 1) if distorted else 1.0
-        best_u, best = None, 0.0
-        for u in cands:
-            if u in S:
-                continue
-            score = weight * oracle.marginal(u, S) - cost[u]
-            if score > best:
-                best_u, best = u, score
-        if best_u is not None:
-            S.append(best_u)
-        elif not distorted:
-            break
-    return S
+from conftest import eager_greedy
 
 
 def unit_cover_instance(rng, n, k):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import regsubmax as rs
 from regsubmax.objectives import half_logdet
-from conftest import (KINDS, ValueOnly, make_instance, random_digraph_dense, value_table,
-                      worst_monotonicity_violation,
+from conftest import (KINDS, ValueOnly, cover_add_reference, make_instance,
+                      random_digraph_dense, value_table, worst_monotonicity_violation,
                       worst_submodularity_violation)
 
 def test_vertex_cover_cost_examples():
@@ -107,6 +107,28 @@ def test_directed_graph_rejects_raw_csr_rows_with_a_loop_or_a_repeat():
     # ascending within each row; across rows the heads may fall
     graph = rs.DirectedGraph((np.array([0, 2, 3, 3]), np.array([1, 2, 0])), (0, 1, 2))
     assert graph.edges() == [(0, 1), (0, 2), (1, 0)]
+
+
+def test_csr_takes_array_likes():
+    # Python lists once repeated under ``src * n``: 12 heads under a ptr ending at 3
+    ptr, heads = rs.objectives.csr(3, [0, 0, 1], [1, 1, 1])
+    assert ptr.tolist() == [0, 2, 3, 3] and heads.tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("out_csr", [
+    (np.array([0, 1, 2, 2]), np.array([1, 5])),  # a head past n failed deep in numpy
+    (np.array([0, 1, 2, 2]), np.array([1, -1])),  # a negative head
+    (np.array([1, 1, 2, 2]), np.array([1])),  # ptr not from 0
+    (np.array([0, 2, 1, 2]), np.array([1, 2])),  # ptr falling
+    (np.array([0, 1, 1, 1]), np.array([1, 2])),  # more heads than ptr[-1]
+    (np.array([0, 1, 2, 3]), np.array([1, 2])),  # fewer
+    (np.array([], dtype=np.intp), np.array([], dtype=np.intp)),  # no ptr at all
+], ids=["head-past-n", "negative-head", "ptr-from-1", "ptr-falling", "extra-heads",
+        "missing-heads", "empty-ptr"])
+def test_directed_graph_rejects_a_malformed_raw_csr(out_csr):
+    # the cover oracle slices both CSRs with no bounds check of its own
+    with pytest.raises(ValueError, match=r"^out_csr must have ptr rising from 0"):
+        rs.DirectedGraph(out_csr, (0, 1, 2))
 
 
 def test_directed_graph_id_compaction():
@@ -452,6 +474,29 @@ def test_vertex_cover_oracle_memory_is_linear_in_the_graph():
     u = int(src[0])
     assert oracle.node_gain(state, u, (0,)) == oracle.marginal(u, (0,)) == _cover_reference(
         graph, np.ones(n), (0,), u)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+def test_cover_greedy_state_matches_the_gather_reference_bit_for_bit(unit, seed):
+    rng = np.random.default_rng(seed + 10 * unit)
+    n = int(rng.integers(100, 400))
+    src, dst = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
+    keep = (src != dst) & (rng.random(n) < 0.8)[dst]  # about a fifth of nodes: no in-edge
+    pairs = np.unique(src[keep] * n + dst[keep])
+    graph = rs.DirectedGraph(rs.objectives.csr(n, pairs // n, pairs % n), tuple(range(n)))
+    assert np.any(np.diff(graph.in_csr[0]) == 0)
+    oracle = rs.VertexCoverOracle(graph, None if unit else rng.uniform(0.2, 1.5, n))
+    got, want = oracle.empty(), oracle.empty()
+    members, seen = set(), set()
+    for u in rng.integers(0, n, n // 2).tolist():
+        seen.add("member" if u in members else "covered" if want[0][u] else "new")
+        oracle.add(got, u)
+        cover_add_reference(oracle, want, u)
+        members.add(u)
+        for a, b in zip(got, want):  # covered, gain, left
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert seen == {"member", "covered", "new"}
 
 
 FACILITY_FORMS = ("facility-rectangular", "facility-transposed-view", "facility-uint32")
