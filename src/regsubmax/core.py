@@ -67,13 +67,17 @@ class SubmodularOracle:
     def node_gain(self, state, u: int, S: tuple[int, ...]) -> float:
         return self.marginal(u, S)
 
+    def note(self, **fields) -> None:
+        """Take a record from the running algorithm (one per distributed round); dropped here."""
+
 
 class CountingOracle(SubmodularOracle):
     """Wraps an oracle and counts evaluations.
 
     One increment per ``value()``, ``marginal()`` or ``node_gain()`` call on
     this wrapper; the inner oracle's own work and the state methods, which
-    are the inner oracle's, are not the caller's evaluations.
+    are the inner oracle's, are not the caller's evaluations.  ``notes``
+    keeps every ``note`` as a dict of its fields plus ``calls`` at that moment.
     """
 
     def __init__(self, inner: SubmodularOracle):
@@ -81,6 +85,7 @@ class CountingOracle(SubmodularOracle):
         self.n = inner.n
         self.value_calls = 0
         self.marginal_calls = 0
+        self.notes: list[dict] = []
         self.empty, self.add, self.node_state = inner.empty, inner.add, inner.node_state
 
     def value(self, S: ElementSet) -> float:
@@ -99,6 +104,9 @@ class CountingOracle(SubmodularOracle):
     def node_gain(self, state, u: int, S: tuple[int, ...]) -> float:
         self.marginal_calls += 1
         return self.inner.node_gain(state, u, S)
+
+    def note(self, **fields) -> None:
+        self.notes.append(dict(fields, calls=self.calls))
 
     @property
     def calls(self) -> int:

@@ -77,17 +77,6 @@ class DistributedConfig:
         return max(1, math.ceil(1.0 / self.eps))
 
 
-@dataclass
-class RoundMetrics:
-    """Observability row for one round of a distributed run."""
-
-    round_index: int
-    pool_sets: int
-    pool_elements: int
-    shard_sizes: list[int]
-    oracle_calls: int
-
-
 def distorted_greedy(instance: RegularizedInstance,
                      candidates: Sequence[int] | None = None) -> list[int]:
     """Budget-many passes with a growing distortion on the submodular part.
@@ -104,7 +93,6 @@ def distorted_greedy(instance: RegularizedInstance,
 
 
 def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
-                    metrics: list[RoundMetrics] | None = None,
                     pool_out: list[tuple[int, int, tuple[int, ...]]] | None = None,
                     ) -> Solution:
     """Randomized multi-round partition run; returns the selected Solution.
@@ -112,11 +100,11 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     The winner is chosen among machine 1's final-round output and all
     solutions from earlier rounds (final-round outputs of other machines are
     deliberately not candidates).  ``pool_out`` collects every produced
-    (round, machine, set) for callers that want to inspect them.  With
-    ``metrics``, the rounds run through a counting wrapper of their own.
+    (round, machine, set) for callers that want to inspect them.  Each round
+    ends with one ``instance.oracle.note(round=, pool_sets=, pool_elements=,
+    shard_sizes=)``: the sets pooled from earlier rounds, their distinct
+    elements and the machines' shard sizes, kept by a ``CountingOracle``.
     """
-    if metrics is not None:
-        instance, counter = instance.counted()
     n = instance.n
     rounds = config.rounds
     pool: list[tuple[int, int, tuple[int, ...]]] = []
@@ -124,18 +112,14 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     for rd in range(1, rounds + 1):
         assignment = RoundAssignment.draw(n, config.m, config.seed, rd)
         pooled[[u for _, _, s in pool for u in s]] = True
-        calls_before = counter.calls if metrics is not None else 0
-        shard_sizes: list[int] = []
         for i in range(config.m):
-            shard = assignment.shard(i)
-            shard_sizes.append(len(shard))
             cands = pooled.copy()
-            cands[shard] = True
+            cands[assignment.shard(i)] = True
             S = distorted_greedy(instance, np.flatnonzero(cands))
             pool.append((rd, i + 1, tuple(S)))
-        if metrics is not None:
-            metrics.append(RoundMetrics(rd, len(pool) - config.m, int(pooled.sum()),
-                                        shard_sizes, counter.calls - calls_before))
+        sizes = np.bincount(assignment.machines, minlength=config.m).tolist()
+        instance.oracle.note(round=rd, pool_sets=len(pool) - config.m,
+                             pool_elements=int(pooled.sum()), shard_sizes=sizes)
     if pool_out is not None:
         pool_out.extend(pool)
     return best_solution(

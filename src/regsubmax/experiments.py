@@ -20,8 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import baselines, datasets, distributed, modefinding, objectives, streaming
-from .core import (CountingOracle, ModularCost, RegularizedInstance, Solution,
-                   checked_scalar, of_kind)
+from .core import ModularCost, RegularizedInstance, Solution, checked_scalar, of_kind
 
 ROUND_FIELDS = ("dataset", "algorithm", "k", "eps", "m", "seed", "round",
                 "pool_sets", "pool_elements", "shard_sizes", "oracle_calls")
@@ -190,34 +189,34 @@ OBJECTIVES = {
 }
 
 
-def _algo_greedy(instance, cfg, seed, stream, rounds):
+def _algo_greedy(instance, cfg, seed, stream):
     return Solution.evaluate(instance, baselines.vanilla_greedy(instance), "greedy")
 
 
-def _algo_distorted_greedy(instance, cfg, seed, stream, rounds):
+def _algo_distorted_greedy(instance, cfg, seed, stream):
     return Solution.evaluate(instance, distributed.distorted_greedy(instance),
                              "distorted-greedy")
 
 
-def _algo_sieve(instance, cfg, seed, stream, rounds):
+def _algo_sieve(instance, cfg, seed, stream):
     return baselines.sieve_streaming(stream, instance, cfg.eps)
 
 
-def _algo_threshold_streaming(instance, cfg, seed, stream, rounds):
+def _algo_threshold_streaming(instance, cfg, seed, stream):
     return streaming.ThresholdBank(cfg.r, instance.k, cfg.eps).run(
         stream, instance, f"threshold-streaming[r={cfg.r:.6g}]")
 
 
-def _algo_distorted_streaming(instance, cfg, seed, stream, rounds):
+def _algo_distorted_streaming(instance, cfg, seed, stream):
     return streaming.distorted_streaming(stream, instance, cfg.eps, cfg.delta)
 
 
-def _algo_distributed(instance, cfg, seed, stream, rounds):
+def _algo_distributed(instance, cfg, seed, stream):
     config = distributed.DistributedConfig(cfg.machines, cfg.eps, seed)
-    return distributed.run_distributed(instance, config, metrics=rounds)
+    return distributed.run_distributed(instance, config)
 
 
-def _algo_brute_force(instance, cfg, seed, stream, rounds):
+def _algo_brute_force(instance, cfg, seed, stream):
     best, _ = baselines.brute_force_opt(instance)
     return Solution.evaluate(instance, best, "brute-force")
 
@@ -242,7 +241,7 @@ def _fmt(x) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Run all (algorithm, k, seed) cells; returns (rows, round_metrics_rows)."""
+    """Run all (algorithm, k, seed) cells; returns (rows, round rows from notes)."""
     cfg.validate()
     oracle, cost = OBJECTIVES[cfg.objective](cfg)
     label = os.path.basename(cfg.dataset)
@@ -251,18 +250,18 @@ def run_experiment(cfg: ExperimentConfig):
     cells = sorted((a, k, s) for a in set(cfg.algos) for k in set(cfg.ks)
                    for s in set(cfg.seeds))
     for algo, k, seed in cells:
-        counting = CountingOracle(oracle)
-        instance = RegularizedInstance(counting, cost, k)
+        instance, counter = RegularizedInstance(oracle, cost, k).counted()
         stream = datasets.resolve_stream_order(cfg.stream_order, oracle.n, seed)
-        rounds = []
         start = time.perf_counter()
-        sol = ALGORITHMS[algo](instance, cfg, seed, stream, rounds)
+        sol = ALGORITHMS[algo](instance, cfg, seed, stream)
         wall_ms = (time.perf_counter() - start) * 1000.0
         rows.append(ResultRow(label, algo, k, cfg.eps, cfg.delta, cfg.machines,
                               seed, sol.f_value, sol.g_value, sol.ell_value,
-                              counting.calls, wall_ms, sol.provenance))
-        round_rows += [(label, algo, k, cfg.eps, cfg.machines, seed, *astuple(rm))
-                       for rm in rounds]
+                              counter.calls, wall_ms, sol.provenance))
+        noted = [0] + [note["calls"] for note in counter.notes]  # cumulative
+        round_rows += [(label, algo, k, cfg.eps, cfg.machines, seed, note["round"],
+                        note["pool_sets"], note["pool_elements"], note["shard_sizes"], b - a)
+                       for note, a, b in zip(counter.notes, noted, noted[1:])]
     if cfg.out:
         emit_results(rows, cfg.out)
         if round_rows:

@@ -51,9 +51,13 @@ class DirectedGraph:
 
     def __post_init__(self):
         ptr, heads = self.out_csr
-        if not (ptr[:1].tolist() == [0] and (ptr[1:] >= ptr[:-1]).all() and ptr[-1] == heads.size
+        if not (ptr.dtype.kind in "iu" and heads.dtype.kind in "iu" and ptr[:1].tolist() == [0]
+                and (ptr[1:] >= ptr[:-1]).all() and ptr[-1] == heads.size
                 and ((heads >= 0) & (heads < ptr.size - 1)).all()):
-            raise ValueError("out_csr must have ptr rising from 0 to heads.size, heads in [0, n)")
+            raise ValueError("out_csr must have ptr rising from 0 to heads.size, heads in [0, n), "
+                             "both integer arrays")
+        if len(self.original_ids) != self.n:
+            raise ValueError(f"original_ids must hold one label per node (n = {self.n})")
         tails = self.tails()
         if np.any(heads == tails) or np.any((heads[1:] <= heads[:-1]) & (tails[1:] == tails[:-1])):
             raise ValueError("out_csr rows must list their heads strictly ascending, without u")
@@ -307,7 +311,7 @@ class SaturatingCoverageOracle(SubmodularOracle):
     """Concave-over-modular coverage built from (word, element, score) triples."""
 
     def __init__(self, triples: Iterable[tuple[int, int, float]], n: int):
-        self.n = n
+        self.n = checked_scalar(n, "ground set size n", int, "[1, inf)")
         table: dict[int, dict[int, float]] = {}
         for w, e, v in triples:
             check_id(e, n)
@@ -318,8 +322,6 @@ class SaturatingCoverageOracle(SubmodularOracle):
     def value(self, S: ElementSet) -> float:
         """Sum over words of sqrt(total score contributed by chosen elements)."""
         members = set(S)
-        if not members:
-            return 0.0
         total = 0.0
         for scores in self.word_scores.values():
             acc = sum(v for e, v in scores.items() if e in members)

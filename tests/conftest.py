@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import regsubmax as rs
-from regsubmax.distributed import _M64, RoundMetrics, _mix64, _round_key
+from regsubmax.distributed import _M64, _mix64, _round_key
 from regsubmax.streaming import geometric_index_range, threshold_index_range
 
 KINDS = ("vertex-cover", "facility", "logdet", "coverage", "modular")
@@ -282,27 +282,27 @@ def cover_add_reference(oracle, st, u) -> None:
 def distributed_reference(instance, config):
     """``run_distributed`` with each machine's candidates as the sorted union of
     its shard and the pooled ids, and ``eager_greedy`` on every machine:
-    (pool, winner, RoundMetrics rows)."""
+    (pool, winner, the notes a CountingOracle keeps, with cumulative calls)."""
     counted, counter = instance.counted()
-    pool, metrics = [], []
+    pool, notes = [], []
     for rd in range(1, config.rounds + 1):
         pooled = np.unique(np.array([u for _, _, s in pool for u in s], dtype=np.intp))
         machines = [machine_of(config.seed, rd, u, config.m) for u in range(instance.n)]
-        calls, sizes = counter.calls, []
+        sizes = []
         for i in range(config.m):
             shard = [u for u, mu in enumerate(machines) if mu == i]
             sizes.append(len(shard))
             cands = np.union1d(np.array(shard, dtype=np.intp), pooled).tolist()
             pool.append((rd, i + 1, tuple(eager_greedy(counted, True, cands))))
-        metrics.append(RoundMetrics(rd, len(pool) - config.m, len(pooled), sizes,
-                                    counter.calls - calls))
+        notes.append({"round": rd, "pool_sets": len(pool) - config.m,
+                      "pool_elements": len(pooled), "shard_sizes": sizes, "calls": counter.calls})
     winner = None
     for rd, i, s in pool:
         if rd < config.rounds or i == 1:
             sol = rs.Solution.evaluate(instance, s, f"distributed[round={rd},machine={i}]")
             if winner is None or sol.f_value > winner.f_value:
                 winner = sol
-    return pool, winner, metrics
+    return pool, winner, notes
 
 
 def machine_of(seed: int, round_index: int, element: int, m: int) -> int:

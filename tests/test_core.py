@@ -85,6 +85,8 @@ SCALAR_ENTRY_POINTS = {
     "SaturatingCoverageOracle-score":
         (lambda x: rs.SaturatingCoverageOracle([(0, 1, x)], 2),
          "score of word 0, element 1", float, 0.0),
+    "SaturatingCoverageOracle-n":
+        (lambda x: rs.SaturatingCoverageOracle([(0, 0, 1.0)], x), "ground set size n", int, 1),
     "WeakSubmodularInstance-gamma":
         (lambda x: rs.WeakSubmodularInstance(len, x, 2), "gamma", float, 0.0),
     "WeakSubmodularInstance-n":

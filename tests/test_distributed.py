@@ -133,20 +133,21 @@ def test_distributed_pool_grows_and_metrics_recorded():
     rng = np.random.default_rng(43)
     inst = make_instance(rng, "vertex-cover", 30, 4)
     cfg = rs.DistributedConfig(m=3, eps=0.34, seed=1)  # 3 rounds
-    metrics = []
+    counted, counter = inst.counted()
     pool = []
-    sol = rs.run_distributed(inst, cfg, metrics=metrics, pool_out=pool)
+    sol = rs.run_distributed(counted, cfg, pool_out=pool)
     assert cfg.rounds == 3
-    assert [m.round_index for m in metrics] == [1, 2, 3]
-    assert [m.pool_sets for m in metrics] == [0, 3, 6]
+    assert [note["round"] for note in counter.notes] == [1, 2, 3]
+    assert [note["pool_sets"] for note in counter.notes] == [0, 3, 6]
     # pool_out keeps every produced (round, machine, set), final round included
     assert len(pool) == 9
     assert {(rd, i) for rd, i, _ in pool} == {(rd, i) for rd in (1, 2, 3)
                                               for i in (1, 2, 3)}
-    for m in metrics:
-        assert len(m.shard_sizes) == 3
-        assert sum(m.shard_sizes) == 30
-        assert m.oracle_calls >= 0
+    calls = [0] + [note["calls"] for note in counter.notes]
+    assert calls == sorted(calls)  # cumulative
+    for note in counter.notes:
+        assert len(note["shard_sizes"]) == 3
+        assert sum(note["shard_sizes"]) == 30
     assert sol.f_value >= 0.0  # never worse than the empty set
 
 
@@ -156,12 +157,11 @@ def test_round_metrics_count_calls_with_and_without_a_counting_oracle():
                                   rs.vertex_cover_cost(graph.out_degrees(), 1), 2)
     counted, counter = inst.counted()
     cfg = rs.DistributedConfig(m=2, eps=0.5)
-    for form in (inst, counted):
-        metrics = []
-        rs.run_distributed(form, cfg, metrics=metrics)
-        assert [m.oracle_calls for m in metrics] == [8, 12]
-    # the caller's counter still sees every call: both rounds, then one
-    # value call per pooled candidate evaluated
+    # a plain oracle drops the notes and picks the same winner
+    assert rs.run_distributed(inst, cfg) == rs.run_distributed(counted, cfg)
+    assert [note["calls"] for note in counter.notes] == [8, 8 + 12]
+    # the counter sees every call: both rounds, then one value call per
+    # pooled candidate evaluated
     assert counter.calls == 8 + 12 + 3
 
 
@@ -178,12 +178,13 @@ def test_run_distributed_matches_a_union_and_eager_reference(unit, m, eps):
         inst = rs.RegularizedInstance(oracle, rs.vertex_cover_cost(graph.out_degrees(), 2),
                                       int(rng.integers(1, 6)))
         cfg = rs.DistributedConfig(m=m, eps=eps, seed=seed)
-        pool, metrics = [], []
-        sol = rs.run_distributed(inst, cfg, metrics=metrics, pool_out=pool)
-        want_pool, want_sol, want_metrics = distributed_reference(inst, cfg)
+        counted, counter = inst.counted()
+        pool = []
+        sol = rs.run_distributed(counted, cfg, pool_out=pool)
+        want_pool, want_sol, want_notes = distributed_reference(inst, cfg)
         assert pool == want_pool
         assert sol == want_sol
-        assert metrics == want_metrics
+        assert counter.notes == want_notes
 
 
 def test_distributed_winner_at_least_any_earlier_round_set():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -175,6 +176,24 @@ def test_run_experiment_writes_csv_and_rounds_sidecar(digraph_file, tmp_path):
     assert len(lines) == 1 + len(round_rows) == 3  # eps=0.5 -> two rounds
 
 
+def test_distributed_result_calls_are_its_round_rows_plus_the_finish(digraph_file, tmp_path):
+    # every round's calls land on one sidecar row; the finish then evaluates
+    # each earlier round's sets and machine 1's last one, one value call each
+    out = tmp_path / "res.csv"
+    cfg = base_config(digraph_file, algos=("distributed", "greedy"), ks=(2, 5),
+                      seeds=(0, 1), eps=0.25, machines=3, out=str(out))
+    run_experiment(cfg)
+    with open(str(out) + ".rounds.csv", newline="") as fh:
+        sidecar = list(csv.DictReader(fh))
+    cells = [r for r in parse_results(out) if r.algorithm == "distributed"]
+    assert len(cells) == 4 and len(sidecar) == 4 * 4  # eps = 0.25: four rounds
+    for row in cells:
+        mine = [int(r["oracle_calls"]) for r in sidecar
+                if (int(r["k"]), int(r["seed"])) == (row.k, row.seed)]
+        assert len(mine) == 4
+        assert row.oracle_calls == sum(mine) + (4 - 1) * 3 + 1
+
+
 def test_emit_results_header_and_floats(tmp_path, digraph_file):
     cfg = base_config(digraph_file, algos=("greedy",), ks=(2,), seeds=(0,))
     rows, _ = run_experiment(cfg)
@@ -347,6 +366,25 @@ def test_cli_run_rejects_an_empty_algorithm_list(digraph_file, tmp_path):
     assert "need at least one algorithm" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_cli_run_config_with_no_algorithms_fails(digraph_file, tmp_path, capsys):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"algos": []}))
+    assert main(["run", "--config", str(cfgf), "--dataset", str(digraph_file)]) == 2
+    assert capsys.readouterr().err == "regsubmax: error: need at least one algorithm\n"
+
+
+def test_cli_run_out_naming_a_directory_leaves_no_temporary_file(digraph_file, tmp_path,
+                                                                 capsys):
+    # the atomic write's temporary file is removed when the final rename fails
+    out = tmp_path / "res"
+    out.mkdir()
+    rc = main(["run", "--dataset", str(digraph_file), "--algo", "greedy", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regsubmax: error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["graph.txt", "res"]
 
 
 def test_cli_validate_passes_on_shipped_oracles(digraph_file, capsys):

@@ -123,12 +123,23 @@ def test_csr_takes_array_likes():
     (np.array([0, 1, 1, 1]), np.array([1, 2])),  # more heads than ptr[-1]
     (np.array([0, 1, 2, 3]), np.array([1, 2])),  # fewer
     (np.array([], dtype=np.intp), np.array([], dtype=np.intp)),  # no ptr at all
+    (np.array([0, 1, 1, 1]), np.array([1.5])),  # a float head was kept as an edge to 1.5
+    (np.array([0.0, 1.0, 1.0, 1.0]), np.array([1])),  # a float ptr failed in np.repeat
 ], ids=["head-past-n", "negative-head", "ptr-from-1", "ptr-falling", "extra-heads",
-        "missing-heads", "empty-ptr"])
+        "missing-heads", "empty-ptr", "float-heads", "float-ptr"])
 def test_directed_graph_rejects_a_malformed_raw_csr(out_csr):
     # the cover oracle slices both CSRs with no bounds check of its own
     with pytest.raises(ValueError, match=r"^out_csr must have ptr rising from 0"):
         rs.DirectedGraph(out_csr, (0, 1, 2))
+
+
+def test_directed_graph_needs_one_label_per_node():
+    # two labels for a 3-node graph were accepted, to mislabel or fail far later
+    out_csr = (np.array([0, 1, 1, 1]), np.array([1]))
+    for labels in [(0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match=r"^original_ids must hold one label per node"):
+            rs.DirectedGraph(out_csr, labels)
+    assert rs.DirectedGraph(out_csr, (0, 1, 2)).edges() == [(0, 1)]
 
 
 def test_directed_graph_id_compaction():

@@ -43,7 +43,7 @@ def test_public_names_resolve_once():
 
 
 @pytest.mark.parametrize("module,name", [
-    ("regsubmax.streaming", "RatioGuess"), ("regsubmax.distributed", "RoundMetrics"),
+    ("regsubmax.streaming", "RatioGuess"),
     ("regsubmax.modefinding", "lambda_value"),
     ("regsubmax.streaming", "threshold_index_range"),
     ("regsubmax.baselines", "brute_force_distorted"),
