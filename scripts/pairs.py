@@ -12,7 +12,12 @@ one JSON line to ``--out``: ``side`` ("parent" or "change"), ``workload``,
 ``seed``, ``set`` (one more than the highest set already in the file),
 ``pair``, ``first``, ``seconds`` and ``result``, the run's own last line.
 Then it prints, per seed and metric, each side's median and quartiles over
-this set's runs, and in how many pairs the change read lower.
+this set's runs, in how many pairs the change read better (lower or higher,
+as the metric's ``better`` in BENCHMARK.json says), and a verdict against
+the metric's ``bound``: "worse" when the change's median is worse than the
+parent's by more than the bound (a fraction of the parent's median),
+"unresolved" when the parent's quartile spread is wider than that unless
+every change run beats every parent run, else "held".
 """
 
 from __future__ import annotations
@@ -29,11 +34,24 @@ from bench import ROOT, run_once
 SIDES = ("parent", "change")
 
 
-def summarize(lines: list[dict]) -> list[tuple]:
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """"worse", "unresolved" or "held" (see the module docstring), for runs
+    of a metric where lower is better (a higher-is-better one negated)."""
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    if np.median(change) - median > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and max(change) >= min(parent):
+        return "unresolved"
+    return "held"
+
+
+def summarize(lines: list[dict], spec: dict) -> list[tuple]:
     """Per (workload, seed, metric), in first-seen order:
     ``(workload, seed, metric, parent (q1, median, q3), change (q1, median, q3),
-    pairs where the change is lower, pairs)``.  Lines pair up by workload,
-    seed, set and pair; ties count as not lower."""
+    pairs where the change is better, pairs, verdict)``, ``better`` and
+    ``bound`` taken from the metric's entry in ``spec`` (BENCHMARK.json).
+    Lines pair up by workload, seed, set and pair; ties count as not better."""
+    declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     runs: dict[tuple, dict[str, dict]] = {}
     for line in lines:
         key = (line["workload"], line["seed"], line["set"], line["pair"])
@@ -45,9 +63,16 @@ def summarize(lines: list[dict]) -> list[tuple]:
                 values = rows.setdefault((workload, seed, metric), {s: [] for s in SIDES})
                 for side in SIDES:
                     values[side].append(sides[side][metric]["value"])
-    return [(*key, *(tuple(np.percentile(v[s], [25, 50, 75]).tolist()) for s in SIDES),
-             sum(c < p for p, c in zip(v["parent"], v["change"])), len(v["parent"]))
-            for key, v in rows.items()]
+    out = []
+    for key, v in rows.items():
+        metric = declared[key[2]]
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        parent, change = ([sign * x for x in v[side]] for side in SIDES)
+        out.append((*key, *(tuple(np.percentile(v[side], [25, 50, 75]).tolist())
+                            for side in SIDES),
+                    sum(c < p for p, c in zip(parent, change)), len(parent),
+                    verdict(parent, change, metric["bound"]) if "bound" in metric else ""))
+    return out
 
 
 def main(argv=None) -> int:
@@ -79,10 +104,10 @@ def main(argv=None) -> int:
                               "seconds": args.seconds, "result": result})
                 with args.out.open("a") as fh:
                     fh.write(json.dumps(lines[-1]) + "\n")
-    for workload, seed, metric, parent, change, lower, pairs in summarize(lines):
+    for workload, seed, metric, parent, change, better, pairs, held in summarize(lines, spec):
         print(f"{workload} seed {seed} {metric}: parent {parent[1]:.6g} [{parent[0]:.6g}, "
               f"{parent[2]:.6g}]  change {change[1]:.6g} [{change[0]:.6g}, {change[2]:.6g}]  "
-              f"{change[1] / parent[1] - 1:+.1%}  lower in {lower}/{pairs}")
+              f"{change[1] / parent[1] - 1:+.1%}  better in {better}/{pairs}  {held}")
     return 0
 
 

@@ -14,15 +14,14 @@ from .streaming import SetNode, ThresholdBank, _exponents, approx_factor
 BRUTE_FORCE_LIMIT = 20
 
 
-def vanilla_greedy(instance: RegularizedInstance,
-                   candidates=None) -> list[int]:
+def vanilla_greedy(instance: RegularizedInstance) -> list[int]:
     """Iteratively add the element with the best positive f-gain.
 
     The best f-gain is non-increasing as the set grows (submodular marginal
     minus a fixed cost), so stopping at the first non-positive round is
     exact.  Ties go to the smallest id.
     """
-    return greedy(instance, [1.0] * instance.k, candidates)
+    return greedy(instance, [1.0] * instance.k)
 
 
 class SieveLadder(ThresholdBank):
@@ -86,17 +85,15 @@ def brute_force_opt(instance: RegularizedInstance) -> tuple[tuple[int, ...], flo
     return brute_force_distorted(instance, 1.0, 1.0, instance.k)
 
 
-def brute_force_tau(instance: RegularizedInstance, r: float, eps: float,
-                    c: float | None = None) -> tuple[float, tuple[int, ...], float]:
+def brute_force_tau(instance: RegularizedInstance, r: float,
+                    eps: float) -> tuple[float, tuple[int, ...], float]:
     """Offline threshold pick for a fixed-threshold streaming run.
 
     Finds the benchmark set T maximizing (factor - eps)*g - r*ell, anchors
-    at v = factor*g(T) - r*ell(T), and returns tau = c*v/k together with T
-    and v.  Any c in [1/(1+eps), 1] keeps k*tau <= v <= (1+eps)*k*tau; the
-    default is the low end.
+    at v = factor*g(T) - r*ell(T), and returns tau = v / ((1+eps)*k)
+    together with T and v, so k*tau <= v <= (1+eps)*k*tau.
     """
-    low = 1.0 / (1.0 + checked_scalar(eps, "eps", float, "[0, inf)"))
-    c = low if c is None else checked_scalar(c, "c", float, f"[{low - 1e-12!r}, {1 + 1e-12!r}]")
+    c = 1.0 / (1.0 + checked_scalar(eps, "eps", float, "[0, inf)"))
     factor = approx_factor(r)
     T, _ = brute_force_distorted(instance, factor - eps, r, instance.k)
     anchor = factor * instance.oracle.value(T) - r * instance.cost(T)

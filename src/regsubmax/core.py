@@ -117,23 +117,31 @@ def checked_array(x, name: str, shape: str, nonneg: bool) -> np.ndarray:
     """``x`` as a float array, the one rule for every input array.
 
     ValueError, with a message that starts with ``name``, unless the array
-    has the ``shape`` ("1-D", "2-D", "square" or "symmetric": square and
-    ``allclose`` to its transpose), only finite entries and, when
-    ``nonneg``, no negative entry.
+    has the ``shape`` ("1-D", "2-D", "square", "symmetric": square and
+    ``allclose`` to its transpose, or "psd": symmetric with a Cholesky once
+    1e-8 * max(1, largest |diagonal entry|) is added to the diagonal, so a
+    singular PSD kernel passes), only finite entries and, when ``nonneg``,
+    no negative entry.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != (1 if shape == "1-D" else 2) or (
-            shape in ("square", "symmetric") and arr.shape[0] != arr.shape[1]):
+            shape in ("square", "symmetric", "psd") and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"{name} must be {shape}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite (got NaN or inf)")
     if nonneg and np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")
     # In row blocks, so no n x n temporary is made.
-    if shape == "symmetric" and not all(
+    if shape in ("symmetric", "psd") and not all(
             np.allclose(arr[lo:lo + 256], arr[:, lo:lo + 256].T)
             for lo in range(0, arr.shape[0], 256)):
         raise ValueError(f"{name} must be symmetric")
+    if shape == "psd":
+        jitter = 1e-8 * max(1.0, np.abs(arr.diagonal()).max(initial=0.0))
+        try:
+            np.linalg.cholesky(arr + jitter * np.eye(arr.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"{name} must be positive semidefinite") from None
     return arr
 
 

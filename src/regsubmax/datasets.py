@@ -125,10 +125,6 @@ def load_stream_order(path, n: int) -> list[int]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_stream_order(order, path) -> None:
-    np.savetxt(path, np.asarray(order, dtype=np.int64), fmt="%d")
-
-
 def resolve_stream_order(spec: str, n: int, seed: int = 0) -> list[int]:
     """Element order for streaming runs: natural, shuffled, or file:PATH."""
     if spec == "natural":

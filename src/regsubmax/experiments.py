@@ -189,46 +189,18 @@ OBJECTIVES = {
 }
 
 
-def _algo_greedy(instance, cfg, seed, stream):
-    return Solution.evaluate(instance, baselines.vanilla_greedy(instance), "greedy")
-
-
-def _algo_distorted_greedy(instance, cfg, seed, stream):
-    return Solution.evaluate(instance, distributed.distorted_greedy(instance),
-                             "distorted-greedy")
-
-
-def _algo_sieve(instance, cfg, seed, stream):
-    return baselines.sieve_streaming(stream, instance, cfg.eps)
-
-
-def _algo_threshold_streaming(instance, cfg, seed, stream):
-    return streaming.ThresholdBank(cfg.r, instance.k, cfg.eps).run(
-        stream, instance, f"threshold-streaming[r={cfg.r:.6g}]")
-
-
-def _algo_distorted_streaming(instance, cfg, seed, stream):
-    return streaming.distorted_streaming(stream, instance, cfg.eps, cfg.delta)
-
-
-def _algo_distributed(instance, cfg, seed, stream):
-    config = distributed.DistributedConfig(cfg.machines, cfg.eps, seed)
-    return distributed.run_distributed(instance, config)
-
-
-def _algo_brute_force(instance, cfg, seed, stream):
-    best, _ = baselines.brute_force_opt(instance)
-    return Solution.evaluate(instance, best, "brute-force")
-
-
+# (instance, cfg, seed, stream) -> a Solution, or picked ids that run_experiment evaluates.
 ALGORITHMS = {
-    "greedy": _algo_greedy,
-    "distorted-greedy": _algo_distorted_greedy,
-    "sieve": _algo_sieve,
-    "threshold-streaming": _algo_threshold_streaming,
-    "distorted-streaming": _algo_distorted_streaming,
-    "distributed": _algo_distributed,
-    "brute-force": _algo_brute_force,
+    "greedy": lambda inst, cfg, seed, stream: baselines.vanilla_greedy(inst),
+    "distorted-greedy": lambda inst, cfg, seed, stream: distributed.distorted_greedy(inst),
+    "sieve": lambda inst, cfg, seed, stream: baselines.sieve_streaming(stream, inst, cfg.eps),
+    "threshold-streaming": lambda inst, cfg, seed, stream: streaming.ThresholdBank(
+        cfg.r, inst.k, cfg.eps).run(stream, inst, f"threshold-streaming[r={cfg.r:.6g}]"),
+    "distorted-streaming": lambda inst, cfg, seed, stream: streaming.distorted_streaming(
+        stream, inst, cfg.eps, cfg.delta),
+    "distributed": lambda inst, cfg, seed, stream: distributed.run_distributed(
+        inst, distributed.DistributedConfig(cfg.machines, cfg.eps, seed)),
+    "brute-force": lambda inst, cfg, seed, stream: baselines.brute_force_opt(inst)[0],
 }
 
 
@@ -254,6 +226,8 @@ def run_experiment(cfg: ExperimentConfig):
         stream = datasets.resolve_stream_order(cfg.stream_order, oracle.n, seed)
         start = time.perf_counter()
         sol = ALGORITHMS[algo](instance, cfg, seed, stream)
+        if not isinstance(sol, Solution):
+            sol = Solution.evaluate(instance, sol, algo)
         wall_ms = (time.perf_counter() - start) * 1000.0
         rows.append(ResultRow(label, algo, k, cfg.eps, cfg.delta, cfg.machines,
                               seed, sol.f_value, sol.g_value, sol.ell_value,

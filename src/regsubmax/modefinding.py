@@ -136,15 +136,16 @@ def surrogate_instance(inst: WeakSubmodularInstance, k: int) -> RegularizedInsta
     return RegularizedInstance(oracle, oracle.cost, k)
 
 
-def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
-                     samples: int = 2000, seed: int = 0) -> tuple[bool, float]:
+def check_gamma_weak(inst: WeakSubmodularInstance) -> tuple[bool, float]:
     """Verify the weak-submodularity inequality; returns (ok, max violation).
 
-    Exhaustive mode enumerates every (S, u, v) triple and is guarded to
-    small n; sampled mode draws random triples.  -inf values are handled by
+    Enumerates every (S, u, v) triple, so n is limited to EXHAUSTIVE_LIMIT;
+    a larger set function needs its gamma given.  -inf values are handled by
     direct comparison (the inequality holds whenever the left side is -inf).
     """
     n, gamma = inst.n, inst.gamma
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive check limited to n <= {EXHAUSTIVE_LIMIT}")
 
     def violation(S: tuple[int, ...], u: int, v: int) -> float:
         lhs = inst.rho_of(S) + inst.rho_of(S + (u, v))
@@ -156,26 +157,11 @@ def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
         return lhs - rhs
 
     worst = -math.inf
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive check limited to n <= {EXHAUSTIVE_LIMIT}")
-        universe = range(n)
-        for size in range(n - 1):
-            for S in itertools.combinations(universe, size):
-                rest = [x for x in universe if x not in S]
-                for u, v in itertools.combinations(rest, 2):
-                    worst = max(worst, violation(S, u, v))
-    elif mode == "sampled":
-        rng = np.random.default_rng(checked_scalar(seed, "seed", int, "[0, inf)"))
-        count = checked_scalar(samples, "samples", int, "[1, inf)")
-        for _ in range(count if n >= 2 else 0):  # no triple without two elements
-            u, v = map(int, rng.choice(n, size=2, replace=False))
-            mask = rng.random(n) < rng.random()
-            mask[u] = mask[v] = False
-            S = tuple(int(x) for x in np.flatnonzero(mask))
-            worst = max(worst, violation(S, u, v))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for size in range(n - 1):
+        for S in itertools.combinations(range(n), size):
+            rest = [x for x in range(n) if x not in S]
+            for u, v in itertools.combinations(rest, 2):
+                worst = max(worst, violation(S, u, v))
     if worst == -math.inf:
         worst = 0.0
     return worst <= VIOLATION_TOL, worst
@@ -185,18 +171,16 @@ def check_gamma_weak(inst: WeakSubmodularInstance, mode: str = "exhaustive",
 class SlcInstance:
     """Log-density 1/2 * log det(L_S) with a support-size cap.
 
-    L must be symmetric PSD; sets larger than the cap or hitting a singular
-    principal minor score -inf.
+    L must pass ``checked_array``'s "psd" rule; sets larger than the cap or
+    hitting a singular principal minor score -inf.
     """
 
     L: np.ndarray
     d: int
 
     def __post_init__(self):
-        L = checked_array(self.L, "L", "symmetric", nonneg=False)
+        L = checked_array(self.L, "L", "psd", nonneg=False)
         checked_scalar(self.d, "support cap d", int, "[0, inf)")
-        if np.linalg.eigvalsh(L).min() < -1e-9:
-            raise ValueError("L must be positive semidefinite")
         object.__setattr__(self, "L", L)
 
     @property

@@ -268,12 +268,14 @@ def grow_cholesky(st, row: np.ndarray, u: int) -> None:
 
 
 class LogDetOracle(SubmodularOracle):
-    """Diversity score g(S) = log det(I + alpha * M_S), alpha > 0, M PSD."""
+    """Diversity score g(S) = log det(I + alpha * M_S), alpha > 0, with M PSD
+    by ``checked_array``'s "psd" rule; DegenerateMatrixError marks an
+    I + alpha * M_S that still fails to factor (M within the rule's jitter)."""
 
     def __init__(self, M: np.ndarray, alpha: float = 1.0):
         # The incremental state reads whole rows of M, the Cholesky of
         # ``value`` one triangle; both agree only on a symmetric kernel.
-        M = checked_array(M, "kernel matrix", "symmetric", nonneg=False)
+        M = checked_array(M, "kernel matrix", "psd", nonneg=False)
         self.M = M
         self.alpha = float(checked_scalar(alpha, "alpha", float, "(0, inf)"))
         self.n = M.shape[0]

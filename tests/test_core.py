@@ -8,7 +8,7 @@ import pytest
 import regsubmax as rs
 import regsubmax.datasets as ds
 from conftest import make_instance
-from regsubmax.core import checked_scalar
+from regsubmax.core import checked_scalar, greedy
 from regsubmax.experiments import ExperimentConfig
 from regsubmax.baselines import brute_force_distorted
 from regsubmax.streaming import geometric_index_range, threshold_index_range
@@ -101,10 +101,6 @@ SCALAR_ENTRY_POINTS = {
     "brute_force_distorted-k":
         (lambda x: brute_force_distorted(_INST, 1.0, 1.0, x), "budget k", int, 0),
     "brute_force_tau-eps": (lambda x: rs.brute_force_tau(_INST, 1.0, x), "eps", float, 0.0),
-    "brute_force_tau-c": (lambda x: rs.brute_force_tau(_INST, 1.0, 0.1, x), "c", float, 1.0),
-    "check_gamma_weak-samples":
-        (lambda x: rs.check_gamma_weak(rs.WeakSubmodularInstance(len, 0.0, 3), "sampled", x),
-         "samples", int, 1),
     "ExperimentConfig-eps": (lambda x: ExperimentConfig(eps=x), "(config 'eps'|eps)", float, 0.1),
     "ExperimentConfig.validate-ks":
         (lambda x: ExperimentConfig(dataset="d", ks=(3, x)).validate(),
@@ -115,9 +111,6 @@ SCALAR_ENTRY_POINTS = {
     "random_digraph-seed": (lambda x: ds.random_digraph(4, 0.5, x), "seed", int, 0),
     "resolve_stream_order-seed":
         (lambda x: ds.resolve_stream_order("shuffled", 4, x), "seed", int, 0),
-    "check_gamma_weak-seed":
-        (lambda x: rs.check_gamma_weak(rs.WeakSubmodularInstance(len, 0.0, 3), "sampled", 1, x),
-         "seed", int, 0),
     "sample_slc_matrix-seed": (lambda x: rs.sample_slc_matrix(3, 1.0, 1.0, x), "seed", int, 0),
     "ExperimentConfig.validate-machines":
         (lambda x: ExperimentConfig(dataset="d", machines=x).validate(),
@@ -208,7 +201,7 @@ def _stream_order_file(inst, ids):
 
 
 ENTRY_POINTS = {
-    "greedy": ("logdet", lambda inst, ids: rs.vanilla_greedy(inst, candidates=ids)),
+    "greedy": ("logdet", lambda inst, ids: greedy(inst, [1.0] * inst.k, ids)),
     "distorted-greedy": ("facility",
                          lambda inst, ids: rs.distorted_greedy(inst, candidates=ids)),
     "sieve": ("vertex-cover", lambda inst, ids: rs.sieve_streaming(ids, inst, 0.1)),

@@ -157,7 +157,7 @@ def test_load_cost_vector(tmp_path):
 
 def test_stream_order_file_round_trip(tmp_path):
     p = tmp_path / "order.txt"
-    ds.write_stream_order([2, 0, 1], p)
+    p.write_text("2\n0\n1\n")
     assert ds.load_stream_order(p, 3) == [2, 0, 1]
     assert ds.load_stream_order(p, n=3) == [2, 0, 1]
     with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ def test_resolve_stream_order(tmp_path):
     assert sorted(s1) == list(range(30))
     assert s1 != s3
     p = tmp_path / "order.txt"
-    ds.write_stream_order([1, 0], p)
+    p.write_text("1\n0\n")
     assert ds.resolve_stream_order(f"file:{p}", 2) == [1, 0]
     with pytest.raises(ValueError):
         ds.resolve_stream_order("sorted", 4)

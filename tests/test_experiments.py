@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regsubmax as rs
 import regsubmax.datasets as ds
 from regsubmax.cli import main
 from regsubmax.experiments import (ALGORITHMS, OBJECTIVES, RESULT_FIELDS,
@@ -106,6 +107,42 @@ def test_registries_cover_documented_ids():
                                "distributed", "brute-force"}
     assert set(OBJECTIVES) == {"vertex-cover", "facility-location", "log-det",
                                "saturating-coverage", "slc-mode"}
+
+
+def test_every_algorithm_cell_is_its_direct_library_call(tmp_path):
+    # 16 nodes, so brute force runs too; seed 2, where the distributed cell's
+    # call count differs from seed 0's
+    path = tmp_path / "graph16.txt"
+    ds.write_edge_list(ds.random_digraph(16, 0.2, seed=3), path)
+    cfg = base_config(path, algos=tuple(ALGORITHMS), ks=(3,), eps=0.25, machines=3,
+                      seeds=(2,), stream_order="shuffled")
+    rows, _ = run_experiment(cfg)
+    graph = ds.load_edge_list(path)
+    inst = rs.RegularizedInstance(rs.VertexCoverOracle(graph),
+                                  rs.vertex_cover_cost(graph.out_degrees(), cfg.q), 3)
+    stream = ds.resolve_stream_order("shuffled", inst.n, 2)
+    direct = {
+        "greedy": rs.vanilla_greedy,
+        "distorted-greedy": rs.distorted_greedy,
+        "sieve": lambda i: rs.sieve_streaming(stream, i, 0.25),
+        "threshold-streaming": lambda i: rs.ThresholdBank(1.0, 3, 0.25).run(
+            stream, i, "threshold-streaming[r=1]"),
+        "distorted-streaming": lambda i: rs.distorted_streaming(stream, i, 0.25, 0.1),
+        "distributed": lambda i: rs.run_distributed(i, rs.DistributedConfig(3, 0.25, 2)),
+        "brute-force": lambda i: rs.brute_force_opt(i)[0],
+    }
+    picks_ids = {"greedy", "distorted-greedy", "brute-force"}
+    assert [row.algorithm for row in rows] == sorted(direct)
+    for row in rows:
+        counted, counter = inst.counted()
+        want = direct[row.algorithm](counted)
+        assert ALGORITHMS[row.algorithm](inst, cfg, 2, stream) == want
+        calls = counter.calls
+        if row.algorithm in picks_ids:  # the runner evaluates them once, in the cell
+            want = rs.Solution.evaluate(inst, want, row.algorithm)
+            calls += 1
+        assert (row.f_value, row.g_value, row.ell_value, row.provenance, row.oracle_calls) == (
+            want.f_value, want.g_value, want.ell_value, want.provenance, calls)
 
 
 def test_run_experiment_grid_shape_and_identity(digraph_file):

@@ -5,6 +5,7 @@ import pytest
 
 import regsubmax as rs
 from conftest import eager_greedy
+from regsubmax.core import greedy
 
 
 def unit_cover_instance(rng, n, k):
@@ -39,7 +40,7 @@ def test_kernel_matches_eager_reference(kind):
         inst = BUILDERS[kind](rng, n, int(rng.integers(1, 9)))
         cands = [int(u) for u in rng.choice(n, size=n // 2, replace=False)]
         for c in (None, cands):
-            assert rs.vanilla_greedy(inst, c) == eager_greedy(inst, False, c)
+            assert greedy(inst, [1.0] * inst.k, c) == eager_greedy(inst, False, c)
             assert rs.distorted_greedy(inst, c) == eager_greedy(inst, True, c)
 
 

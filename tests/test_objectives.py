@@ -182,9 +182,14 @@ def test_logdet_examples():
 
 
 def test_logdet_degenerate_matrix():
-    M = np.array([[-2.0]])  # I + M not positive definite
+    # a kernel outside the PSD cone fails at construction; a singular one passes
+    for M in (np.array([[-2.0]]), np.diag([1.0, -0.5])):
+        with pytest.raises(ValueError, match="^kernel matrix must be positive semidefinite$"):
+            rs.LogDetOracle(M, 1.0)
+    assert rs.LogDetOracle(np.diag([1.0, 0.0])).value([0, 1]) == pytest.approx(math.log(2.0))
+    # within the PSD rule's jitter, a large alpha still leaves I + alpha*M_S indefinite
     with pytest.raises(rs.DegenerateMatrixError):
-        rs.LogDetOracle(M, 1.0).value([0])
+        rs.LogDetOracle(np.diag([1.0, -1e-9]), 2e9).value([1])
     with pytest.raises(ValueError):
         rs.LogDetOracle(np.eye(2), alpha=0.0)
 
@@ -337,8 +342,10 @@ def test_half_logdet_and_the_log_dets_built_on_it():
     assert half_logdet(np.diag([4.0, 9.0])) == pytest.approx(math.log(6.0))
     for A in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 0.0]), -np.eye(1)):
         assert half_logdet(A) == -math.inf
-    oracle = rs.LogDetOracle(np.diag([1.0, -2.0, 1.0]))
-    assert oracle.value([2, 0]) == pytest.approx(2.0 * math.log(2.0))
+    with pytest.raises(ValueError, match="^kernel matrix must be positive semidefinite$"):
+        rs.LogDetOracle(np.diag([1.0, -2.0, 1.0]))
+    oracle = rs.LogDetOracle(np.diag([1.0, -1e-9, 1.0]), 2e9)
+    assert oracle.value([2, 0]) == pytest.approx(2.0 * math.log(1.0 + 2e9))
     with pytest.raises(rs.DegenerateMatrixError,
                        match=r"^I \+ alpha\*M_S not positive definite for S=\[0, 1\]$"):
         oracle.value([1, 0, 1])
@@ -400,7 +407,9 @@ def test_oracles_reject_non_finite_data(make):
 
 
 def test_logdet_gains_reject_degenerate_kernel():
-    oracle = rs.LogDetOracle(np.array([[-2.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^kernel matrix must be positive semidefinite$"):
+        rs.LogDetOracle(np.array([[-2.0, 0.0], [0.0, 1.0]]))
+    oracle = rs.LogDetOracle(np.diag([-1e-9, 1.0]), 2e9)  # inside the jitter
     with pytest.raises(rs.DegenerateMatrixError):
         oracle.gains(oracle.empty(), np.arange(2))
 

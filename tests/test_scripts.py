@@ -65,25 +65,30 @@ def test_pairs_summary_pairs_up_sides_and_counts_lower_runs(monkeypatch):
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
 
-    def line(side, seed, pair, solve_s, set_=1):
+    def line(side, seed, pair, solve_s, f=7.0, set_=1):
         return {"side": side, "workload": "offline", "seed": seed, "set": set_, "pair": pair,
                 "first": "parent", "seconds": 20,
                 "result": {"correct": True, "attempted": 9, "failed": 0, "metrics": {
                     "solve_s": {"value": solve_s, "unit": "s"},
-                    "f_value_sum": {"value": 7.0, "unit": "score"}}}}
+                    "f_value_sum": {"value": f, "unit": "score"}}}}
 
-    lines = [line("parent", 0, 1, 4.0), line("change", 0, 1, 3.0),
-             line("change", 0, 2, 2.0), line("parent", 0, 2, 1.0),
-             line("parent", 0, 3, 2.0), line("change", 0, 3, 1.0),
-             line("parent", 0, 4, 3.0), line("change", 0, 4, 4.0),
+    lines = [line("parent", 0, 1, 4.0, 1.0), line("change", 0, 1, 3.0, 6.0),
+             line("change", 0, 2, 2.0, 6.0), line("parent", 0, 2, 1.0, 2.0),
+             line("parent", 0, 3, 2.0, 3.0), line("change", 0, 3, 1.0, 6.0),
+             line("parent", 0, 4, 3.0, 4.0), line("change", 0, 4, 4.0, 6.0),
              line("parent", 0, 5, 9.0),  # no change run: not a pair
-             line("parent", 7919, 1, 5.0), line("change", 7919, 1, 5.0),
-             line("parent", 0, 1, 8.0, set_=2), line("change", 0, 1, 0.5, set_=2)]
-    assert pairs.summarize(lines) == [
-        ("offline", 0, "solve_s", (2.0, 3.0, 4.0), (1.0, 2.0, 3.0), 3, 5),
-        ("offline", 0, "f_value_sum", (7.0, 7.0, 7.0), (7.0, 7.0, 7.0), 0, 5),
-        ("offline", 7919, "solve_s", (5.0, 5.0, 5.0), (5.0, 5.0, 5.0), 0, 1),
-        ("offline", 7919, "f_value_sum", (7.0, 7.0, 7.0), (7.0, 7.0, 7.0), 0, 1)]
+             line("parent", 7919, 1, 5.0, 10.0), line("change", 7919, 1, 5.0, 8.0),
+             line("parent", 0, 1, 8.0, 5.0, set_=2), line("change", 0, 1, 0.5, 6.0, set_=2)]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # solve_s is lower-is-better with bound 0.25, f_value_sum higher-is-better with 0.15
+    assert pairs.summarize(lines, spec) == [
+        # the parent's spread (2 on a median of 3) is wider than the bound
+        ("offline", 0, "solve_s", (2.0, 3.0, 4.0), (1.0, 2.0, 3.0), 3, 5, "unresolved"),
+        # as wide, but every change run is higher than every parent run
+        ("offline", 0, "f_value_sum", (2.0, 3.0, 4.0), (6.0, 6.0, 6.0), 5, 5, "held"),
+        ("offline", 7919, "solve_s", (5.0, 5.0, 5.0), (5.0, 5.0, 5.0), 0, 1, "held"),
+        # 20% lower where higher is better
+        ("offline", 7919, "f_value_sum", (10.0, 10.0, 10.0), (8.0, 8.0, 8.0), 0, 1, "worse")]
 
 
 def test_bench_assembles_canned_result_lines():
