@@ -1,11 +1,11 @@
 """Multi-round randomized partition runs of distorted greedy.
 
-Each round deals the ground set uniformly at random across machines, every
-machine runs distorted greedy on its shard plus all solutions pooled from
-earlier rounds, and the final answer is the best of machine 1's last-round
-output and everything pooled before it.  Machine assignment uses a
-counter-style hash of (seed, round, element), so it is reproducible and
-independent of any execution order.
+Each round deals the ground set uniformly at random across machines, and
+a machine runs distorted greedy on its shard plus all solutions pooled from
+earlier rounds.  The final answer is the best of machine 1's last-round
+output and everything pooled before it, so the last round runs machine 1
+only.  Machine assignment uses a counter-style hash of (seed, round,
+element), so it is reproducible and independent of any execution order.
 """
 
 from __future__ import annotations
@@ -97,13 +97,14 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
                     ) -> Solution:
     """Randomized multi-round partition run; returns the selected Solution.
 
-    The winner is chosen among machine 1's final-round output and all
-    solutions from earlier rounds (final-round outputs of other machines are
-    deliberately not candidates).  ``pool_out`` collects every produced
-    (round, machine, set) for callers that want to inspect them.  Each round
-    ends with one ``instance.oracle.note(round=, pool_sets=, pool_elements=,
-    shard_sizes=)``: the sets pooled from earlier rounds, their distinct
-    elements and the machines' shard sizes, kept by a ``CountingOracle``.
+    Every machine runs in each round but the last, where only machine 1 does:
+    the winner is chosen among its output and all solutions from earlier
+    rounds.  ``pool_out`` collects every produced (round, machine, set), m per
+    earlier round and one for the last.  Each round ends with one
+    ``instance.oracle.note(round=, pool_sets=, pool_elements=, shard_sizes=,
+    candidates=)``: the sets pooled from earlier rounds, their distinct
+    elements, every machine's shard size and the candidate count (shard plus
+    pooled ids) of each machine that ran, kept by a ``CountingOracle``.
     """
     n = instance.n
     rounds = config.rounds
@@ -112,16 +113,17 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
     for rd in range(1, rounds + 1):
         assignment = RoundAssignment.draw(n, config.m, config.seed, rd)
         pooled[[u for _, _, s in pool for u in s]] = True
-        for i in range(config.m):
+        pool_sets, counts = len(pool), []
+        for i in range(config.m if rd < rounds else 1):
             cands = pooled.copy()
             cands[assignment.shard(i)] = True
-            S = distorted_greedy(instance, np.flatnonzero(cands))
-            pool.append((rd, i + 1, tuple(S)))
+            ids = np.flatnonzero(cands)
+            counts.append(ids.size)
+            pool.append((rd, i + 1, tuple(distorted_greedy(instance, ids))))
         sizes = np.bincount(assignment.machines, minlength=config.m).tolist()
-        instance.oracle.note(round=rd, pool_sets=len(pool) - config.m,
-                             pool_elements=int(pooled.sum()), shard_sizes=sizes)
+        instance.oracle.note(round=rd, pool_sets=pool_sets, pool_elements=int(pooled.sum()),
+                             shard_sizes=sizes, candidates=counts)
     if pool_out is not None:
         pool_out.extend(pool)
-    return best_solution(
-        [Solution.evaluate(instance, s, f"distributed[round={rd},machine={i}]")
-         for rd, i, s in pool if rd < rounds or i == 1])
+    return best_solution([Solution.evaluate(instance, s, f"distributed[round={rd},machine={i}]")
+                          for rd, i, s in pool])

@@ -117,7 +117,9 @@ class VertexCoverOracle(SubmodularOracle):
     only the last one, so the oracle holds O(n + m) and a state n/8 bytes.
     A unit gain is u's cover size less the bits u's mask shares with the
     state: at the root (None) no mask is built.  Greedy's ``add`` makes a
-    fixed number of numpy calls over the newly covered nodes' in-edges.
+    fixed number of numpy calls over the newly covered nodes' in-edges.  Its
+    state is (covered, gain, left); with unit weights a node's gain is the
+    uncovered count of its cover, so the state is (covered, gain).
     """
 
     def __init__(self, graph: DirectedGraph, weights: Sequence[float] | None = None):
@@ -167,8 +169,10 @@ class VertexCoverOracle(SubmodularOracle):
         return self.node_gain(reduce(self.node_state, S, 0), u, S)
 
     def empty(self):
-        """(covered mask, gain of every node, uncovered count of its cover)."""
-        return np.zeros(self.n, dtype=bool), self._single.copy(), self._cover_size.copy()
+        """(covered mask, gain of every node, uncovered count of its cover),
+        without the count for unit weights: there it equals the gain."""
+        st = np.zeros(self.n, dtype=bool), self._single.copy()
+        return st if self._unit else (*st, self._cover_size.copy())
 
     def gains(self, st, cands: np.ndarray) -> np.ndarray:
         return st[1][cands]
@@ -177,14 +181,17 @@ class VertexCoverOracle(SubmodularOracle):
         """Cover u and its out-neighbours.  Each newly covered node leaves
         the gain of itself and of its in-neighbours; a node whose whole
         cover is covered reads exactly 0, free of rounding."""
-        covered, gain, left = st
+        covered, gain = st[:2]
         new = np.array([*self._heads[self._ptr[u]:self._ptr[u + 1]], u])
         new = new[~covered[new]]
         covered[new] = True
         ptr, heads = self._in_ptr, self.graph.in_csr[1]
         ins = [heads[ptr[v]:ptr[v + 1]] for v in new.tolist()]
         hit = np.concatenate([new, *ins])
-        w = self.weights[new]
+        if self._unit:  # integer gains: subtracting 1 reaches 0 exactly
+            np.subtract.at(gain, hit, 1.0)
+            return
+        left, w = st[2], self.weights[new]
         np.subtract.at(gain, hit, np.concatenate([w, w.repeat([a.size for a in ins])]))
         np.subtract.at(left, hit, np.int32(1))  # left's own dtype: ufunc.at's fast path
         gain[hit[left[hit] == 0]] = 0.0

@@ -279,23 +279,26 @@ def cover_add_reference(oracle, st, u) -> None:
     gain[hit[left[hit] == 0]] = 0.0
 
 
-def distributed_reference(instance, config):
+def distributed_reference(instance, config, all_machines=False):
     """``run_distributed`` with each machine's candidates as the sorted union of
-    its shard and the pooled ids, and ``eager_greedy`` on every machine:
-    (pool, winner, the notes a CountingOracle keeps, with cumulative calls)."""
+    its shard and the pooled ids, and ``eager_greedy`` on every machine that
+    runs: (pool, winner, the notes a CountingOracle keeps, with cumulative
+    calls).  ``all_machines`` runs every machine in the final round too,
+    though only machine 1's final set can win."""
     counted, counter = instance.counted()
     pool, notes = [], []
     for rd in range(1, config.rounds + 1):
         pooled = np.unique(np.array([u for _, _, s in pool for u in s], dtype=np.intp))
         machines = [machine_of(config.seed, rd, u, config.m) for u in range(instance.n)]
-        sizes = []
-        for i in range(config.m):
+        pool_sets, counts = len(pool), []
+        for i in range(config.m if all_machines or rd < config.rounds else 1):
             shard = [u for u, mu in enumerate(machines) if mu == i]
-            sizes.append(len(shard))
             cands = np.union1d(np.array(shard, dtype=np.intp), pooled).tolist()
+            counts.append(len(cands))
             pool.append((rd, i + 1, tuple(eager_greedy(counted, True, cands))))
-        notes.append({"round": rd, "pool_sets": len(pool) - config.m,
-                      "pool_elements": len(pooled), "shard_sizes": sizes, "calls": counter.calls})
+        notes.append({"round": rd, "pool_sets": pool_sets, "pool_elements": len(pooled),
+                      "shard_sizes": [machines.count(i) for i in range(config.m)],
+                      "candidates": counts, "calls": counter.calls})
     winner = None
     for rd, i, s in pool:
         if rd < config.rounds or i == 1:

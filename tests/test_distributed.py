@@ -139,10 +139,12 @@ def test_distributed_pool_grows_and_metrics_recorded():
     assert cfg.rounds == 3
     assert [note["round"] for note in counter.notes] == [1, 2, 3]
     assert [note["pool_sets"] for note in counter.notes] == [0, 3, 6]
-    # pool_out keeps every produced (round, machine, set), final round included
-    assert len(pool) == 9
-    assert {(rd, i) for rd, i, _ in pool} == {(rd, i) for rd in (1, 2, 3)
-                                              for i in (1, 2, 3)}
+    # pool_out keeps every produced (round, machine, set): machine 1 alone
+    # runs the final round
+    assert len(pool) == 7
+    assert [(rd, i) for rd, i, _ in pool] == [(rd, i) for rd in (1, 2)
+                                              for i in (1, 2, 3)] + [(3, 1)]
+    assert [len(note["candidates"]) for note in counter.notes] == [3, 3, 1]
     calls = [0] + [note["calls"] for note in counter.notes]
     assert calls == sorted(calls)  # cumulative
     for note in counter.notes:
@@ -159,10 +161,10 @@ def test_round_metrics_count_calls_with_and_without_a_counting_oracle():
     cfg = rs.DistributedConfig(m=2, eps=0.5)
     # a plain oracle drops the notes and picks the same winner
     assert rs.run_distributed(inst, cfg) == rs.run_distributed(counted, cfg)
-    assert [note["calls"] for note in counter.notes] == [8, 8 + 12]
-    # the counter sees every call: both rounds, then one value call per
-    # pooled candidate evaluated
-    assert counter.calls == 8 + 12 + 3
+    assert [note["calls"] for note in counter.notes] == [8, 8 + 6]
+    # the counter sees every call: both machines in round 1, machine 1 in
+    # round 2, then one value call per produced set evaluated
+    assert counter.calls == 8 + 6 + 3
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
@@ -185,6 +187,39 @@ def test_run_distributed_matches_a_union_and_eager_reference(unit, m, eps):
         assert pool == want_pool
         assert sol == want_sol
         assert counter.notes == want_notes
+        # running machines 2..m in the final round too changes no winner, no
+        # pooled set and no note, apart from the final round's calls and the
+        # candidate counts of the machines that now run
+        all_pool, all_sol, all_notes = distributed_reference(inst, cfg, all_machines=True)
+        assert sol == all_sol
+        assert pool == [(rd, i, s) for rd, i, s in all_pool if rd < cfg.rounds or i == 1]
+        assert len(all_pool) == cfg.rounds * m
+        last, all_last = counter.notes[-1], all_notes[-1]
+        assert counter.notes[:-1] == all_notes[:-1]
+        assert last["calls"] <= all_last["calls"]
+        assert ({**last, "calls": 0} ==
+                {**all_last, "calls": 0, "candidates": all_last["candidates"][:1]})
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+def test_round_candidates_are_at_most_the_shard_plus_the_earlier_pools(unit, m):
+    # a machine holds its shard and the m * k-bounded sets of each earlier round
+    rng = np.random.default_rng(m + 10 * unit)
+    for seed, eps in enumerate([0.25, 0.34, 0.5, 1.0] * 2):
+        n = int(rng.integers(20, 90))
+        graph = random_digraph_dense(rng, n, rng.uniform(0.04, 0.15))
+        oracle = rs.VertexCoverOracle(graph, None if unit else rng.uniform(0.2, 1.5, n))
+        k = int(rng.integers(1, 6))
+        counted, counter = rs.RegularizedInstance(
+            oracle, rs.vertex_cover_cost(graph.out_degrees(), 2), k).counted()
+        cfg = rs.DistributedConfig(m=m, eps=eps, seed=seed)
+        rs.run_distributed(counted, cfg)
+        assert [len(note["candidates"]) for note in counter.notes] == (
+            [m] * (cfg.rounds - 1) + [1])
+        for note in counter.notes:
+            for shard, count in zip(note["shard_sizes"], note["candidates"]):
+                assert shard <= count <= shard + (note["round"] - 1) * m * k
 
 
 def test_distributed_winner_at_least_any_earlier_round_set():

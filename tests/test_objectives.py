@@ -508,14 +508,19 @@ def test_cover_greedy_state_matches_the_gather_reference_bit_for_bit(unit, seed)
     assert np.any(np.diff(graph.in_csr[0]) == 0)
     oracle = rs.VertexCoverOracle(graph, None if unit else rng.uniform(0.2, 1.5, n))
     got, want = oracle.empty(), oracle.empty()
+    assert len(got) == (2 if unit else 3)
+    if unit:  # the reference keeps each node's uncovered count
+        want = (*want, (graph.out_degrees() + 1).astype(np.int32))
     members, seen = set(), set()
     for u in rng.integers(0, n, n // 2).tolist():
         seen.add("member" if u in members else "covered" if want[0][u] else "new")
         oracle.add(got, u)
         cover_add_reference(oracle, want, u)
         members.add(u)
-        for a, b in zip(got, want):  # covered, gain, left
+        for a, b in zip(got, want):  # covered, gain, and left unless unit
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if unit:  # a unit gain is the uncovered count of the node's cover
+            assert np.array_equal(got[1], want[2].astype(float))
     assert seen == {"member", "covered", "new"}
 
 
