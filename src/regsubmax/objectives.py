@@ -26,7 +26,9 @@ class DegenerateMatrixError(ValueError):
 
 
 def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]]."""
+    """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]].
+
+    Repeated (src, dst) pairs are kept, so tests can build malformed rows."""
     src, dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
@@ -65,28 +67,33 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]] | np.ndarray) -> "DirectedGraph":
-        """(src, dst) int pairs or an (m, 2) int array; dedupes, drops self-loops, compacts ids."""
+        """(src, dst) int pairs or an (m, 2) int array; dedupes, drops self-loops, compacts ids
+        with one argsort of the labels and one sort of the edge keys, then builds the CSRs."""
         if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
             flat = edges.ravel()
+            bad = flat[flat > 2**63 - 1].tolist() if flat.dtype == np.uint64 else ()
         else:
             labels: list = []
-            try:  # unpacking checks every row's length
+            try:  # unpacking checks every row's length and that it is a row
                 for src, dst in edges:
                     labels += src, dst
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ValueError("edges must be (src, dst) pairs") from None
             try:
                 flat = np.fromiter(labels, dtype=np.int64, count=len(labels))
             except (OverflowError, TypeError, ValueError):
                 flat = None
-            for x in labels if flat is None or set(map(type, labels)) - {int} else ():
-                checked_scalar(x, "edge label", int, f"[{-2**63}, {2**63})")
+            bad = labels if flat is None or set(map(type, labels)) - {int} else ()
+        for x in bad:
+            checked_scalar(x, "edge label", int, f"[{-2**63}, {2**63})")
         a, b = flat[0::2], flat[1::2]
         keep = a != b
         nodes, dense = np.unique(np.concatenate([a[keep], b[keep]]), return_inverse=True)
         n, m = nodes.size, int(keep.sum())
-        pairs = np.unique(dense[:m] * n + dense[m:])
-        return cls(csr(n, pairs // n, pairs % n), tuple(nodes.tolist()))
+        # a plain np.unique takes numpy's hash path (numpy >= 2.3), several times a sort
+        keys = np.sort(dense[:m] * n + dense[m:])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return cls(csr(n, keys // n, keys % n), tuple(nodes.tolist()))
 
     @property
     def n(self) -> int:

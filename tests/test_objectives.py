@@ -449,6 +449,44 @@ def test_from_edges_rejects_labels_outside_int64():
     a, b = rs.DirectedGraph.from_edges(arr), rs.DirectedGraph.from_edges(arr.tolist())
     assert (a.original_ids, a.edges()) == (b.original_ids, b.edges())
     assert a.original_ids == (-1, 3, 5) and a.edges() == [(0, 1), (1, 2), (2, 1)]
+    # a uint64 array holds labels past int64: they fail as their pairs do
+    for bad in (2**63, 2**63 + 5, 2**64 - 1):
+        with pytest.raises(ValueError, match=rf"^edge label must be .*, got {bad}$"):
+            rs.DirectedGraph.from_edges(np.array([[2, 1], [bad, 1]], np.uint64))
+    top = rs.DirectedGraph.from_edges(np.array([[2**63 - 1, 1]], np.uint64))
+    assert (top.original_ids, top.edges()) == ((1, 2**63 - 1), [(1, 0)])
+
+
+def _reference_csr(n, rows):
+    """CSR arrays of a reference adjacency: (ptr, heads), both intp."""
+    ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.intp)
+    return ptr, np.array([v for r in rows for v in r], dtype=np.intp)
+
+
+@pytest.mark.parametrize("dtype", [None, np.int32, np.int64], ids=["pairs", "int32", "int64"])
+def test_from_edges_dedupes_many_repeats_like_the_reference(dtype):
+    """Differential at scale: 20k edges over 200 labels, thousands of them
+    repeats and some self-loops, labels spread over the whole dtype range;
+    then no edges, and only self-loops, which both give the n = 0 graph."""
+    rng = np.random.default_rng(29)
+    info = np.iinfo(dtype or np.int64)
+    labels = np.concatenate([[info.min, info.max, 0],
+                             rng.integers(info.min, info.max, 197, endpoint=True)])
+    arr = labels[rng.integers(0, labels.size, (20_000, 2))]
+    assert len(set(map(tuple, arr.tolist()))) < 17_000
+    for edges in (arr, arr[:0], np.repeat(labels[:9, None], 2, axis=1)):
+        pairs = [tuple(e) for e in edges.tolist()]
+        n, out, ids = reference_from_edges(pairs)
+        ins = [[] for _ in range(n)]
+        for u in range(n):
+            for v in out[u]:
+                ins[v].append(u)
+        g = rs.DirectedGraph.from_edges(pairs if dtype is None else edges.astype(dtype))
+        assert g.original_ids == ids and all(type(x) is int for x in g.original_ids)
+        want = _reference_csr(n, out) + _reference_csr(n, ins)
+        for got, w in zip(g.out_csr + g.in_csr, want):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+    assert (g.n, [a.tolist() for a in g.out_csr + g.in_csr]) == (0, [[0], [], [0], []])
 
 
 def _cover_reference(graph, weights, S, u=None):
@@ -575,9 +613,10 @@ def test_node_state_gains_match_marginals_bit_for_bit(kind):
 
 
 @pytest.mark.parametrize("edges", [[(1, 2, 3), (4, 5, 6)], [(1, 2), (3,)], [(1, 2, 3), (4,)],
-                                   [(1,)], [()]])
+                                   [(1,)], [()], [1, 2], np.array([1, 2, 3, 4])])
 def test_from_edges_rejects_rows_that_are_not_pairs(edges):
-    # an even label count is not enough: (1, 2, 3), (4, 5, 6) must not read as 1->2, 3->4, 5->6
+    # an even label count is not enough: (1, 2, 3), (4, 5, 6) must not read as 1->2, 3->4, 5->6;
+    # nor is a flat list or array of labels
     with pytest.raises(ValueError, match=r"^edges must be \(src, dst\) pairs$"):
         rs.DirectedGraph.from_edges(edges)
     with pytest.raises(ValueError, match=r"^edges must be \(src, dst\) pairs$"):
