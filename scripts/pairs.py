@@ -17,7 +17,8 @@ as the metric's ``better`` in BENCHMARK.json says), and a verdict against
 the metric's ``bound``: "worse" when the change's median is worse than the
 parent's by more than the bound (a fraction of the parent's median),
 "unresolved" when the parent's quartile spread is wider than that unless
-every change run beats every parent run, else "held".
+every change run beats every parent run, else "held".  It exits with status 1
+when any metric's verdict is "worse", else 0.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ def main(argv=None) -> int:
                               "seconds": args.seconds, "result": result})
                 with args.out.open("a") as fh:
                     fh.write(json.dumps(lines[-1]) + "\n")
-    for workload, seed, metric, parent, change, better, pairs, held in summarize(lines, spec):
+    rows = summarize(lines, spec)
+    for workload, seed, metric, parent, change, better, pairs, held in rows:
         print(f"{workload} seed {seed} {metric}: parent {parent[1]:.6g} [{parent[0]:.6g}, "
               f"{parent[2]:.6g}]  change {change[1]:.6g} [{change[0]:.6g}, {change[2]:.6g}]  "
               f"{change[1] / parent[1] - 1:+.1%}  better in {better}/{pairs}  {held}")
-    return 0
+    return int(any(row[-1] == "worse" for row in rows))
 
 
 if __name__ == "__main__":

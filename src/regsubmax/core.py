@@ -131,10 +131,11 @@ def checked_array(x, name: str, shape: str, nonneg: bool) -> np.ndarray:
         raise ValueError(f"{name} must be finite (got NaN or inf)")
     if nonneg and np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")
-    # In row blocks, so no n x n temporary is made.
+    # In row blocks, so no n x n temporary is made; the exact test is the cheaper.
     if shape in ("symmetric", "psd") and not all(
-            np.allclose(arr[lo:lo + 256], arr[:, lo:lo + 256].T)
-            for lo in range(0, arr.shape[0], 256)):
+            np.array_equal(rows, cols) or np.allclose(rows, cols)
+            for rows, cols in ((arr[lo:lo + 256], arr[:, lo:lo + 256].T)
+                               for lo in range(0, arr.shape[0], 256))):
         raise ValueError(f"{name} must be symmetric")
     if shape == "psd":
         jitter = 1e-8 * max(1.0, np.abs(arr.diagonal()).max(initial=0.0))

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import checked_array, checked_scalar, stream_ids
-from .objectives import DirectedGraph, csr
+from .objectives import DirectedGraph, key_csr
 
 
 def _data_lines(path, skip: int = 0) -> Iterator[tuple[int, str]]:
@@ -77,7 +77,7 @@ def random_digraph(n: int, p: float, seed: int = 0) -> DirectedGraph:
     flat = np.concatenate([np.flatnonzero(rng.random((min(step, n - lo), n)) < p) + lo * n
                            for lo in range(0, n, step)])
     flat = flat[flat % (n + 1) != 0]  # i * n + i is the diagonal
-    return DirectedGraph(csr(n, flat // n, flat % n), tuple(range(n)))
+    return DirectedGraph(key_csr(n, flat), tuple(range(n)))  # flatnonzero keys ascend
 
 
 def load_matrix_csv(path, header: bool = False) -> np.ndarray:

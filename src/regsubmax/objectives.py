@@ -25,23 +25,25 @@ class DegenerateMatrixError(ValueError):
     """A matrix that should be positive definite numerically is not."""
 
 
-def csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]].
+def row_ptr(n: int, rows: np.ndarray) -> np.ndarray:
+    """CSR ``ptr`` over n rows of entries that lie in the rows ``rows`` (each in [0, n))."""
+    return np.concatenate([[0], np.bincount(rows, minlength=n).cumsum()])
 
-    Repeated (src, dst) pairs are kept, so tests can build malformed rows."""
-    src, dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
-    return ptr, np.sort(src * n + dst) % n
+
+def key_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward CSR arrays (see ``DirectedGraph``) of the edges whose keys
+    ``src * n + dst`` the intp array ``keys`` lists ascending and distinct."""
+    src = keys // n
+    return row_ptr(n, src), keys - src * n
 
 
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Directed graph on a dense ground set ``{0, .., n-1}``.
 
-    ``out_csr`` is the graph's one stored form: forward CSR arrays (see
-    ``csr``) with the out-neighbours of u, strictly ascending and without u,
-    at ``heads[ptr[u]:ptr[u+1]]``.  ``original_ids`` maps a dense id back to
+    ``out_csr`` is the graph's one stored form: forward CSR arrays with the
+    out-neighbours of u, strictly ascending and without u, at
+    ``heads[ptr[u]:ptr[u+1]]``.  ``original_ids`` maps a dense id back to
     whatever label the source file used, so results can be reported in the
     input's vocabulary.  ``in_csr``, the same edges reversed, is always
     derived from ``out_csr``.
@@ -63,12 +65,17 @@ class DirectedGraph:
         tails = self.tails()
         if np.any(heads == tails) or np.any((heads[1:] <= heads[:-1]) & (tails[1:] == tails[:-1])):
             raise ValueError("out_csr rows must list their heads strictly ascending, without u")
-        object.__setattr__(self, "in_csr", csr(self.n, heads, tails))
+        # numpy argsorts 8- and 16-bit ints stably by radix; within a head the
+        # tails stay ascending, as the forward rows are in order
+        h = heads.astype(np.min_scalar_type(self.n - 1))
+        in_csr = row_ptr(self.n, h), tails[np.argsort(h, kind="stable")]
+        object.__setattr__(self, "in_csr", in_csr)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]] | np.ndarray) -> "DirectedGraph":
         """(src, dst) int pairs or an (m, 2) int array; dedupes, drops self-loops, compacts ids
-        with one argsort of the labels and one sort of the edge keys, then builds the CSRs."""
+        with a presence table over [min, max] when that span is at most twice the label count
+        (else one ``np.unique``), sorts the edge keys once and builds the CSRs from them."""
         if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
             flat = edges.ravel()
             bad = flat[flat > 2**63 - 1].tolist() if flat.dtype == np.uint64 else ()
@@ -88,12 +95,19 @@ class DirectedGraph:
             checked_scalar(x, "edge label", int, f"[{-2**63}, {2**63})")
         a, b = flat[0::2], flat[1::2]
         keep = a != b
-        nodes, dense = np.unique(np.concatenate([a[keep], b[keep]]), return_inverse=True)
+        # int64 holds every label left; narrower ints would wrap in labels - lo
+        labels = np.concatenate([a[keep], b[keep]]).astype(np.int64, copy=False)
+        lo, hi = (int(labels.min()), int(labels.max())) if labels.size else (0, -1)
+        if hi - lo < 2 * labels.size:  # O(m + span), no sort
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[labels - lo] = True
+            nodes, dense = np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[labels - lo]
+        else:
+            nodes, dense = np.unique(labels, return_inverse=True)
         n, m = nodes.size, int(keep.sum())
         # a plain np.unique takes numpy's hash path (numpy >= 2.3), several times a sort
         keys = np.sort(dense[:m] * n + dense[m:])
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        return cls(csr(n, keys // n, keys % n), tuple(nodes.tolist()))
+        return cls(key_csr(n, keys[np.diff(keys, prepend=-1) != 0]), tuple(nodes.tolist()))
 
     @property
     def n(self) -> int:

@@ -15,10 +15,20 @@ from regsubmax.streaming import geometric_index_range, threshold_index_range
 KINDS = ("vertex-cover", "facility", "logdet", "coverage", "modular")
 
 
+def csr(n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, idx) with the heads of u's edges, ascending, at idx[ptr[u]:ptr[u+1]].
+
+    Repeated (src, dst) pairs are kept, so tests can build malformed rows."""
+    src, dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return ptr, np.sort(src * n + dst) % n
+
+
 def random_digraph_dense(rng, n, p):
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
-    return rs.DirectedGraph(rs.objectives.csr(n, *np.nonzero(mask)), tuple(range(n)))
+    return rs.DirectedGraph(csr(n, *np.nonzero(mask)), tuple(range(n)))
 
 
 def make_instance(rng, kind, n, k) -> rs.RegularizedInstance:

@@ -7,7 +7,7 @@ import pytest
 
 import regsubmax.datasets as ds
 from regsubmax import DirectedGraph
-from regsubmax.objectives import csr
+from conftest import csr
 
 
 def test_load_edge_list_basic(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import regsubmax as rs
 from regsubmax.objectives import half_logdet
-from conftest import (KINDS, ValueOnly, cover_add_reference, make_instance,
+from conftest import (KINDS, ValueOnly, cover_add_reference, csr, make_instance,
                       random_digraph_dense, value_table, worst_monotonicity_violation,
                       worst_submodularity_violation)
 
@@ -96,7 +96,6 @@ def test_from_edges_matches_reference_and_csr():
 def test_directed_graph_rejects_raw_csr_rows_with_a_loop_or_a_repeat():
     # a cover counts a row's heads as that many distinct other nodes; a repeat
     # or a loop made VertexCoverOracle.gains disagree with marginal
-    csr = rs.objectives.csr
     bad = [csr(3, np.array([0, 0, 1]), np.array([1, 1, 1])),  # repeated head and a loop
            csr(3, np.array([0, 0]), np.array([2, 2])),  # repeated head
            csr(3, np.array([1]), np.array([1])),  # loop
@@ -111,7 +110,7 @@ def test_directed_graph_rejects_raw_csr_rows_with_a_loop_or_a_repeat():
 
 def test_csr_takes_array_likes():
     # Python lists once repeated under ``src * n``: 12 heads under a ptr ending at 3
-    ptr, heads = rs.objectives.csr(3, [0, 0, 1], [1, 1, 1])
+    ptr, heads = csr(3, [0, 0, 1], [1, 1, 1])
     assert ptr.tolist() == [0, 2, 3, 3] and heads.tolist() == [1, 1, 1]
 
 
@@ -384,10 +383,13 @@ def test_logdet_rejects_asymmetric_kernel():
     # both kernels pass one symmetry rule, checked in row blocks of 256
     M = np.eye(300)
     M[0, 299] = 0.5
+    near = M + M.T
+    near[299, 0] += 1e-12  # not exactly symmetric, but allclose to its transpose
     for make in (rs.LogDetOracle, lambda K: rs.SlcInstance(K, 3)):
         with pytest.raises(ValueError, match="must be symmetric"):
             make(M)
         make(M + M.T)
+        make(near)
     with pytest.raises(ValueError, match="positive semidefinite"):
         rs.SlcInstance(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
@@ -463,6 +465,15 @@ def _reference_csr(n, rows):
     return ptr, np.array([v for r in rows for v in r], dtype=np.intp)
 
 
+def _assert_reference_graph(g, pairs):
+    """``g`` is the reference graph of ``pairs``: labels, and both CSRs as intp."""
+    n, out, ids = reference_from_edges(pairs)
+    ins = [[u for u in range(n) if v in out[u]] for v in range(n)]
+    assert g.original_ids == ids and all(type(x) is int for x in g.original_ids)
+    for got, want in zip(g.out_csr + g.in_csr, _reference_csr(n, out) + _reference_csr(n, ins)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dtype", [None, np.int32, np.int64], ids=["pairs", "int32", "int64"])
 def test_from_edges_dedupes_many_repeats_like_the_reference(dtype):
     """Differential at scale: 20k edges over 200 labels, thousands of them
@@ -476,17 +487,85 @@ def test_from_edges_dedupes_many_repeats_like_the_reference(dtype):
     assert len(set(map(tuple, arr.tolist()))) < 17_000
     for edges in (arr, arr[:0], np.repeat(labels[:9, None], 2, axis=1)):
         pairs = [tuple(e) for e in edges.tolist()]
-        n, out, ids = reference_from_edges(pairs)
-        ins = [[] for _ in range(n)]
-        for u in range(n):
-            for v in out[u]:
-                ins[v].append(u)
         g = rs.DirectedGraph.from_edges(pairs if dtype is None else edges.astype(dtype))
-        assert g.original_ids == ids and all(type(x) is int for x in g.original_ids)
-        want = _reference_csr(n, out) + _reference_csr(n, ins)
-        for got, w in zip(g.out_csr + g.in_csr, want):
-            assert got.dtype == w.dtype and np.array_equal(got, w)
+        _assert_reference_graph(g, pairs)
     assert (g.n, [a.tolist() for a in g.out_csr + g.in_csr]) == (0, [[0], [], [0], []])
+
+
+@pytest.mark.parametrize("dtype", [None, np.int32, np.int64, np.uint64],
+                         ids=["pairs", "int32", "int64", "uint64"])
+@pytest.mark.parametrize("extra, table", [(0, True), (1, False)], ids=["span-2x", "span-2x+1"])
+def test_label_presence_table_matches_unique(monkeypatch, dtype, extra, table):
+    """Labels spanning exactly twice their count (repeats counted) are
+    compacted by a presence table, one more by ``np.unique``; both give the
+    reference graph."""
+    rng = np.random.default_rng(41 + extra)
+    m = 150
+    lo = 3 if dtype == np.uint64 else -37
+    hi = lo + 4 * m - 1 + extra  # 2m labels over hi - lo + 1 values
+    src, dst = rng.integers(lo, hi, m, endpoint=True), rng.integers(lo, hi, m, endpoint=True)
+    src[:2], dst[:2] = (lo, hi), (hi, lo)
+    dst[src == dst] = lo + (src[src == dst] == lo)  # no self-loop
+    src[-5:], dst[-5:] = src[:5], dst[:5]  # repeats still count as labels
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    edges = pairs if dtype is None else np.stack([src, dst], 1).astype(dtype)
+    g = rs.DirectedGraph.from_edges(edges)
+    assert (not calls) == table
+    _assert_reference_graph(g, pairs)
+
+
+@pytest.mark.parametrize("dtype, lo, hi, m", [(np.int8, -100, 100, 60),
+                                               (np.int16, -20_000, 20_000, 10_001)])
+def test_presence_table_takes_narrow_labels_spanning_past_their_dtype(monkeypatch, dtype, lo, hi,
+                                                                      m):
+    """Labels whose span, hi - lo, exceeds the dtype's signed maximum still
+    take the presence table, and must give the graph of their int64 copy."""
+    rng = np.random.default_rng(43)
+    src, dst = rng.integers(lo, hi, m, endpoint=True), rng.integers(lo, hi, m, endpoint=True)
+    src[:2], dst[:2] = (lo, hi), (hi, lo)
+    dst[src == dst] = lo + (src[src == dst] == lo)  # no self-loop
+    assert hi - lo > np.iinfo(dtype).max and hi - lo < 4 * m
+    edges = np.stack([src, dst], 1)
+    want = rs.DirectedGraph.from_edges(edges)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    g = rs.DirectedGraph.from_edges(edges.astype(dtype))
+    assert not calls and g.original_ids == want.original_ids
+    for got, w in zip(g.out_csr + g.in_csr, want.out_csr + want.in_csr):
+        assert got.dtype == np.intp and np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("n", [256, 257, 65536, 65537])
+def test_in_csr_is_the_reference_transpose_where_the_head_dtype_narrows(n):
+    """The reverse CSR sorts heads cast to the smallest type holding n - 1
+    (uint8 to 256, uint16 to 65536); it must match the sorted-keys transpose."""
+    rng = np.random.default_rng(n)
+    src, dst = rng.integers(0, n, 3000), rng.integers(0, n - 1, 3000)
+    dst += dst >= src
+    src[:2], dst[:2] = (0, n - 1), (n - 1, 0)  # the largest head and tail
+    keys = np.unique(src * n + dst)
+    g = rs.DirectedGraph(rs.objectives.key_csr(n, keys), tuple(range(n)))
+    want = csr(n, keys // n, keys % n) + csr(n, keys % n, keys // n)
+    for got, w in zip(g.out_csr + g.in_csr, want):
+        assert got.dtype == np.intp and np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("ptr_dtype, head_dtype", [(np.int32, np.uint8), (np.int64, np.uint64),
+                                                   (np.uint32, np.int16), (np.intp, np.uint32)])
+def test_raw_csr_of_any_int_dtype_gets_the_old_reverse_arrays(ptr_dtype, head_dtype):
+    rng = np.random.default_rng(8)
+    n = 90
+    mask = rng.random((n, n)) < 0.1
+    np.fill_diagonal(mask, False)
+    src, dst = np.nonzero(mask)
+    ptr, heads = csr(n, src, dst)
+    g = rs.DirectedGraph((ptr.astype(ptr_dtype), heads.astype(head_dtype)), tuple(range(n)))
+    for got, want in zip(g.in_csr, csr(n, dst, src)):  # the reverse arrays as csr built them
+        assert got.dtype == np.intp and np.array_equal(got, want)
 
 
 def _cover_reference(graph, weights, S, u=None):
@@ -520,7 +599,7 @@ def test_vertex_cover_oracle_memory_is_linear_in_the_graph():
     src, dst = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
     # a raw CSR lists distinct heads other than the row itself
     pairs = np.unique(src[src != dst] * n + dst[src != dst])
-    graph = rs.DirectedGraph(rs.objectives.csr(n, pairs // n, pairs % n), tuple(range(n)))
+    graph = rs.DirectedGraph(csr(n, pairs // n, pairs % n), tuple(range(n)))
     tracemalloc.start()
     try:
         oracle = rs.VertexCoverOracle(graph)
@@ -542,7 +621,7 @@ def test_cover_greedy_state_matches_the_gather_reference_bit_for_bit(unit, seed)
     src, dst = rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n)
     keep = (src != dst) & (rng.random(n) < 0.8)[dst]  # about a fifth of nodes: no in-edge
     pairs = np.unique(src[keep] * n + dst[keep])
-    graph = rs.DirectedGraph(rs.objectives.csr(n, pairs // n, pairs % n), tuple(range(n)))
+    graph = rs.DirectedGraph(csr(n, pairs // n, pairs % n), tuple(range(n)))
     assert np.any(np.diff(graph.in_csr[0]) == 0)
     oracle = rs.VertexCoverOracle(graph, None if unit else rng.uniform(0.2, 1.5, n))
     got, want = oracle.empty(), oracle.empty()

@@ -59,11 +59,16 @@ def _bench_script():
     return module
 
 
-def test_pairs_summary_pairs_up_sides_and_counts_lower_runs(monkeypatch):
+def _pairs_script(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # pairs.py imports bench.py
     spec = importlib.util.spec_from_file_location("pairs", ROOT / "scripts" / "pairs.py")
-    pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_summary_pairs_up_sides_and_counts_lower_runs(monkeypatch):
+    pairs = _pairs_script(monkeypatch)
 
     def line(side, seed, pair, solve_s, f=7.0, set_=1):
         return {"side": side, "workload": "offline", "seed": seed, "set": set_, "pair": pair,
@@ -89,6 +94,23 @@ def test_pairs_summary_pairs_up_sides_and_counts_lower_runs(monkeypatch):
         ("offline", 7919, "solve_s", (5.0, 5.0, 5.0), (5.0, 5.0, 5.0), 0, 1, "held"),
         # 20% lower where higher is better
         ("offline", 7919, "f_value_sum", (10.0, 10.0, 10.0), (8.0, 8.0, 8.0), 0, 1, "worse")]
+
+
+@pytest.mark.parametrize("change_solve_s, status", [(1.0, 0), (1.2, 0), (1.3, 1)])
+def test_pairs_exits_1_when_a_metric_reads_worse(monkeypatch, tmp_path, change_solve_s, status):
+    # solve_s may worsen by its bound, 0.25 of the parent's median, and no more
+    pairs = _pairs_script(monkeypatch)
+
+    def run_once(run, workload, seed, trace, root):
+        solve_s = 1.0 if root == tmp_path.resolve() else change_solve_s
+        return {"correct": True, "attempted": 9, "failed": 0,
+                "metrics": {"solve_s": {"value": solve_s, "unit": "s"}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    out = tmp_path / "pairs.jsonl"
+    argv = ["--root", str(tmp_path), "--out", str(out), "--seeds", "0", "--pairs", "3"]
+    assert pairs.main(argv) == status
+    assert len(out.read_text().splitlines()) == 6
 
 
 def test_bench_assembles_canned_result_lines():
