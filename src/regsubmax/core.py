@@ -32,8 +32,9 @@ class SubmodularOracle:
 
     Greedy algorithms grow one set and score many candidates against it, so
     they go through a per-set state: ``st = empty()``, ``gains(st, cands)``
-    for the marginals of a whole candidate array, and ``add(st, u)``.  The
-    defaults keep ``S`` as a plain list and call ``marginal`` once per
+    for the marginals of a whole candidate array, and ``add(st, u)``.  Greedy
+    makes no ``add`` after its last pick, so a state may not see every pick.
+    The defaults keep ``S`` as a plain list and call ``marginal`` once per
     candidate; an oracle with an incremental form overrides all three.
     Streaming keeps a state per set, never mutated: None for the empty set,
     ``node_state(state, u)`` for ``S + (u,)``, and ``node_gain(state, u, S)``
@@ -264,16 +265,17 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
     when its score is strictly positive; ties go to the smallest id.  A
     round with nothing positive ends the run when no later weight is larger
     than its own (exact, since marginals only shrink and S stays as it is)
-    and is skipped otherwise.
+    and is skipped otherwise.  The pick of the last weight is not ``add``-ed.
     """
     oracle, n = instance.oracle, instance.n
     cands = np.arange(n) if candidates is None else candidates
-    # set_ids' rule; an integer array is checked whole: ends in range, no equal neighbours
+    # set_ids' rule; an integer array strictly ascending and in range passes in one pass
     if not (isinstance(cands, np.ndarray) and cands.ndim == 1 and cands.dtype.kind in "iu"):
-        cands = np.array(set_ids(cands, n), dtype=np.intp)
-    cands = np.sort(cands)
-    if cands.size and (cands[0] < 0 or cands[-1] >= n or np.any(cands[1:] == cands[:-1])):
-        set_ids(cands.tolist(), n)  # raises, naming the id
+        cands = np.sort(np.array(set_ids(cands, n), dtype=np.intp))
+    elif cands.size and not (cands[0] >= 0 and cands[-1] < n and (cands[1:] > cands[:-1]).all()):
+        cands = np.sort(cands)
+        if cands[0] < 0 or cands[-1] >= n or np.any(cands[1:] == cands[:-1]):
+            set_ids(cands.tolist(), n)  # raises, naming the id
     cands = cands.astype(np.intp, copy=False)
     costs = instance.cost.costs[cands]
     st = oracle.empty()
@@ -281,12 +283,15 @@ def greedy(instance: RegularizedInstance, weights: Sequence[float],
     for i, w in enumerate(weights):
         if cands.size == 0:
             break
-        scores = w * oracle.gains(st, cands) - costs
+        scores = oracle.gains(st, cands) * w
+        scores -= costs
         j = int(scores.argmax())
         if scores[j] > 0.0:
             u = int(cands[j])
-            oracle.add(st, u)
             S.append(u)
+            if i == len(weights) - 1:  # the state is not read again
+                break
+            oracle.add(st, u)
             cands = np.concatenate((cands[:j], cands[j + 1:]))
             costs = np.concatenate((costs[:j], costs[j + 1:]))
         elif max(weights[i + 1:], default=w) <= w:

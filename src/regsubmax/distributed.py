@@ -115,9 +115,7 @@ def run_distributed(instance: RegularizedInstance, config: DistributedConfig,
         pooled[[u for _, _, s in pool for u in s]] = True
         pool_sets, counts = len(pool), []
         for i in range(config.m if rd < rounds else 1):
-            cands = pooled.copy()
-            cands[assignment.shard(i)] = True
-            ids = np.flatnonzero(cands)
+            ids = np.flatnonzero(pooled | (assignment.machines == i))  # ascending
             counts.append(ids.size)
             pool.append((rd, i + 1, tuple(distorted_greedy(instance, ids))))
         sizes = np.bincount(assignment.machines, minlength=config.m).tolist()

@@ -122,7 +122,9 @@ class SurrogateOracle(SubmodularOracle):
         d, S = st[0][cands], st[2]
         g = 0.5 * np.log(d, out=np.full(d.shape, -np.inf), where=d > 0.0)
         g += self.cost.costs[cands] - self.inst.gamma * len(S)
-        return np.where(np.isin(cands, S), 0.0, g)
+        member = np.zeros(self.n, dtype=bool)
+        member[S] = True
+        return np.where(member[cands], 0.0, g)
 
     def add(self, st, u: int) -> None:
         if self._L is None:

@@ -114,7 +114,7 @@ class DirectedGraph:
         return self.out_csr[0].size - 1
 
     def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_csr[0])
+        return np.diff(self.out_csr[0]).astype(np.intp, copy=False)  # no uint64 for np.repeat
 
     def tails(self) -> np.ndarray:
         """The source of every edge, aligned with the heads of ``out_csr``."""
@@ -184,7 +184,11 @@ class VertexCoverOracle(SubmodularOracle):
         return float(self._sizes[u] - (state is not None and (self._mask(u) & state).bit_count()))
 
     def value(self, S: ElementSet) -> float:
-        return self._weigh(reduce(self.node_state, S, 0))
+        ptr, heads, covered = self._ptr, self.graph.out_csr[1], np.zeros(self.n, dtype=bool)
+        for u in S:  # views of the CSR rows index in place: no list, no copy
+            covered[u] = True
+            covered[heads[ptr[u]:ptr[u + 1]]] = True
+        return float(np.count_nonzero(covered) if self._unit else self.weights[covered].sum())
 
     def marginal(self, u: int, S: ElementSet) -> float:
         return self.node_gain(reduce(self.node_state, S, 0), u, S)

@@ -162,21 +162,22 @@ class ThresholdBank:
         _pass(stream, instance, [self], None)
         return self.finish(instance, label)
 
-    def candidates(self, instance: RegularizedInstance, label: str):
+    def candidates(self, instance: RegularizedInstance, label: str, seen: set | None = None):
         """The copies' sets as Solutions, ascending by exponent, lazily.
 
-        Under the first-strict-max rule, a copy holding the same set as the
-        copy below it (the lowest one: the empty set) cannot win, nor can a
-        ``node.f`` more than rounding below the largest (the empty set's 0
-        included).  A generator, so a best-of pick keeps one Solution alive.
+        Under the first-strict-max rule, a set already in ``seen`` (by
+        default the empty set alone; every set yielded joins it) cannot win,
+        nor can a ``node.f`` more than rounding below the largest (the empty
+        set's 0 included).  A generator, so a best-of pick keeps one
+        Solution alive.
         """
         top = max([0.0, *(node.f for node in self.copies)])
         floor = top - 1e-9 * (1.0 + abs(top))
-        below = ()
+        seen = {()} if seen is None else seen
         for p, node in enumerate(self.copies):
-            if node.S != below and node.f >= floor:
+            if node.S not in seen and node.f >= floor:
+                seen.add(node.S)
                 yield Solution.evaluate(instance, node.S, f"{label}[i={self.first + p}]")
-            below = node.S
 
     def finish(self, instance: RegularizedInstance, label: str = "threshold-bank") -> Solution:
         """Best collected set across surviving copies, or the empty set."""
@@ -360,7 +361,8 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
     Each grid entry is a lazy ThresholdBank, and the one pass steps them
     all, so they share one singleton per element and one marginal per
     distinct set.  An empty grid (eps = 1/2) evaluates no singleton.  The
-    banks' copies compete with a single empty set.
+    banks' copies compete with a single empty set, and the finish evaluates
+    each distinct set once across the grid: a repeat's equal f never wins.
 
     ``diagnostics``, if supplied, is filled with the grid, peak stored
     elements, peak copy counts, and per-element marginal-call counts (one
@@ -371,7 +373,8 @@ def distorted_streaming(stream, instance: RegularizedInstance, eps: float,
     if diagnostics is not None:
         diagnostics["grid"] = grid
     _pass(stream, instance, banks, diagnostics)
-    labelled = (bank.candidates(instance, f"distorted-streaming[ratio={g.ratio:.6g}]")
+    seen = {()}
+    labelled = (bank.candidates(instance, f"distorted-streaming[ratio={g.ratio:.6g}]", seen)
                 for g, bank in zip(grid, banks))
     return best_solution(chain(
         [Solution.evaluate(instance, (), "distorted-streaming[empty]")],

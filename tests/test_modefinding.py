@@ -329,3 +329,19 @@ def test_reduction_rejects_infinite_rho_where_it_needs_finite():
     rs.derived_cost(empty)
     with pytest.raises(ValueError, match="rho must be finite at the empty set"):
         rs.SurrogateOracle(empty)
+
+
+def test_surrogate_gains_read_zero_for_members():
+    rng = np.random.default_rng(13)
+    for gamma in (0.0, 0.2):
+        reg = rs.surrogate_instance(rs.SlcInstance(rs.sample_slc_matrix(12, seed=4), 12)
+                                    .weak_instance(gamma), 6)
+        oracle, S = reg.oracle, []
+        st = oracle.empty()
+        for u in rng.choice(12, size=5, replace=False).tolist():
+            oracle.add(st, u)
+            S.append(u)
+            gains = oracle.gains(st, np.arange(12))
+            assert gains[S].tolist() == [0.0] * len(S)
+            outside = [v for v in range(12) if v not in S]
+            assert gains[outside] == pytest.approx([oracle.marginal(v, S) for v in outside])

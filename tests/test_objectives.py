@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -555,8 +556,10 @@ def test_in_csr_is_the_reference_transpose_where_the_head_dtype_narrows(n):
 
 
 @pytest.mark.parametrize("ptr_dtype, head_dtype", [(np.int32, np.uint8), (np.int64, np.uint64),
-                                                   (np.uint32, np.int16), (np.intp, np.uint32)])
+                                                   (np.uint32, np.int16), (np.intp, np.uint32),
+                                                   (np.uint64, np.int32)])
 def test_raw_csr_of_any_int_dtype_gets_the_old_reverse_arrays(ptr_dtype, head_dtype):
+    # a uint64 ptr once failed in np.repeat with a cast error naming no input
     rng = np.random.default_rng(8)
     n = 90
     mask = rng.random((n, n)) < 0.1
@@ -700,3 +703,17 @@ def test_from_edges_rejects_rows_that_are_not_pairs(edges):
         rs.DirectedGraph.from_edges(edges)
     with pytest.raises(ValueError, match=r"^edges must be \(src, dst\) pairs$"):
         rs.DirectedGraph.from_edges(iter(edges))
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_cover_value_is_the_weighed_node_state_bit_for_bit(unit):
+    # value builds one bool mask from the CSR rows; the node states OR int masks
+    rng = np.random.default_rng(21 + unit)
+    for n in (1, 9, 70, 300):
+        graph = random_digraph_dense(rng, n, rng.uniform(0.02, 0.3))
+        oracle = rs.VertexCoverOracle(graph, None if unit else rng.uniform(0.0, 3.0, n))
+        for _ in range(20):
+            S = rng.integers(0, n, int(rng.integers(0, 12))).tolist()  # any order, repeats
+            want = oracle._weigh(functools.reduce(oracle.node_state, S, 0))
+            assert oracle.value(S) == want
+            assert oracle.value(tuple(np.array(S, dtype=np.int32))) == want

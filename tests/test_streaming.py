@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import regsubmax as rs
 from regsubmax.baselines import SieveLadder
-from regsubmax.streaming import (FixedThreshold, SetNode, _fill, _step,
+from regsubmax.streaming import (FixedThreshold, SetNode, _fill, _pass, _step,
                                  geometric_index_range, threshold_index_range)
 from conftest import (eager_threshold_reference, ladder_reference, make_instance,
                       sieve_reference, threshold_reference, KINDS)
@@ -377,6 +377,32 @@ def test_distorted_streaming_one_marginal_per_distinct_live_set():
             for bank in banks:
                 bank.step(u, inst, inst.oracle.value((u,)))
             assert calls == len(set().union(*(_offered_sets(b, u) for b in banks)))
+
+
+def test_distorted_streaming_evaluates_a_set_that_banks_share_once():
+    # the finish evaluates each distinct set once across the grid; the best
+    # is the one of every bank's candidates evaluated on their own
+    rng = np.random.default_rng(53)
+    eps, delta = 0.1, 0.2
+    shared = 0
+    for t in range(20):
+        n = int(rng.integers(6, 25))
+        inst = make_instance(rng, KINDS[t % len(KINDS)], n, int(rng.integers(1, 5)))
+        stream = [int(x) for x in rng.permutation(n)]
+        grid = rs.ratio_grid(eps, delta)
+        banks = [rs.ThresholdBank(g.r, inst.k, eps) for g in grid]
+        _pass(stream, inst, banks, None)
+        per_bank = [list(bank.candidates(inst, f"distorted-streaming[ratio={g.ratio:.6g}]"))
+                    for g, bank in zip(grid, banks)]
+        want = rs.best_solution([rs.Solution.evaluate(inst, (), "distorted-streaming[empty]"),
+                                 *(sol for sols in per_bank for sol in sols)])
+        counted, counter = inst.counted()
+        assert rs.distorted_streaming(stream, counted, eps, delta) == want
+        distinct = {sol.elements for sols in per_bank for sol in sols}
+        # g(()) for the singletons, the empty Solution, then one per distinct set
+        assert counter.value_calls == 2 + len(distinct)
+        shared += sum(map(len, per_bank)) > len(distinct)
+    assert shared > 0
 
 
 def test_copies_holding_equal_sets_hold_one_node():
